@@ -10,7 +10,9 @@ The same two-phase primal simplex runs over two rings:
 Pivoting is fraction-free (integer-preserving): the tableau holds ring
 elements and a running denominator d, the true tableau being T/d.  Each pivot
 divides by the previous pivot, and that division is exact because every entry
-is a minor of the original matrix.  No gcd computation ever happens.
+is a minor of the original matrix.  No gcd computation ever happens.  The
+same elimination (Bareiss) gives ranks, determinants and Cramer solves over
+either ring; it is the package's only exact elimination routine.
 
 Every comparison the solver makes is routed through ring.sign.  PolyRing can
 carry a ThresholdLedger which records a Cauchy root bound for every nonzero
@@ -217,6 +219,95 @@ class PolyRing:
 
 
 INT_RING = IntRing()
+POLY_RING = PolyRing()
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination: the package's one exact elimination kernel
+
+class SingularSystemError(ValueError):
+    """Raised by a Cramer solve on a singular matrix; carries the rank found."""
+
+    def __init__(self, rank: int):
+        super().__init__(f"singular system (rank {rank})")
+        self.rank = rank
+
+
+def _eliminate(M: list, ncols: int, ring) -> tuple:
+    """Bareiss forward elimination of M in place, pivoting in the first ncols
+    columns and carrying any further columns along.
+
+    Row k ends up holding the k-th pivot, and each entry is then a minor of
+    the row-permuted input, so every division is exact.  Returns the pivot
+    columns and the sign of the row permutation.
+    """
+    sign, mul, sub, div = ring.sign, ring.mul, ring.sub, ring.exact_div
+    pivots: list = []
+    parity = 1
+    denom = ring.one
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(M)) if sign(M[r][col]) != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            parity = -parity
+        prow = M[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(M)):
+            row = M[r]
+            f = row[col]
+            for c in range(col, len(row)):
+                row[c] = div(sub(mul(row[c], p), mul(f, prow[c])), denom)
+        denom = p
+        pivots.append(col)
+        if len(pivots) == len(M):
+            break
+    return pivots, parity
+
+
+def lp_rank(rows: Sequence, ring) -> int:
+    """Rank of a coefficient matrix, by fraction-free elimination."""
+    M = [list(r) for r in rows]
+    return len(_eliminate(M, len(M[0]), ring)[0]) if M else 0
+
+
+def lp_det(rows: Sequence, ring):
+    """Determinant of a square matrix, by fraction-free elimination."""
+    M = [list(r) for r in rows]
+    if not M:
+        return ring.one
+    pivots, parity = _eliminate(M, len(M), ring)
+    if len(pivots) < len(M):
+        return ring.zero
+    d = M[-1][-1]
+    return d if parity > 0 else ring.sub(ring.zero, d)
+
+
+def lp_cramer(rows: Sequence, ring) -> tuple:
+    """Solve the square system A x = b given by its augmented rows (A_i, b_i),
+    by fraction-free elimination.
+
+    Returns (numerators, denominator) with x_i = numerators[i] / denominator;
+    the denominator is plus or minus det A, so the numerators are the Cramer
+    minors up to that common sign.  Raises SingularSystemError with the rank
+    of A when A is singular.
+    """
+    M = [list(r) for r in rows]
+    n = len(M)
+    pivots, _ = _eliminate(M, n, ring)
+    if len(pivots) < n:
+        raise SingularSystemError(len(pivots))
+    # back substitution scaled by den: den * x_i lies in the ring
+    den = M[-1][n - 1] if M else ring.one
+    nums = [ring.zero] * n
+    for i in reversed(range(n)):
+        acc = ring.mul(den, M[i][n])
+        for j in range(i + 1, n):
+            acc = ring.sub(acc, ring.mul(M[i][j], nums[j]))
+        nums[i] = ring.exact_div(acc, M[i][i])
+    return nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -432,32 +523,6 @@ def lp_strictly_feasible(nv: int, eqs: Sequence, strict: Sequence, weak: Sequenc
     obj = [zero] * nv + [one]
     res = lp_solve(nv + 1, eqs2, les2, obj, ring)
     return res.status == OPTIMAL and res.value_sign(ring) > 0
-
-
-def lp_rank(rows: Sequence, ring) -> int:
-    """Rank of a coefficient matrix, by fraction-free elimination."""
-    M = [list(r) for r in rows]
-    if not M:
-        return 0
-    ncols = len(M[0])
-    sign, mul, sub, div = ring.sign, ring.mul, ring.sub, ring.exact_div
-    rank = 0
-    denom = ring.one
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if sign(M[r][col]) != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        p = M[rank][col]
-        for r in range(rank + 1, len(M)):
-            f = M[r][col]
-            for c in range(ncols):
-                M[r][c] = div(sub(mul(M[r][c], p), mul(f, M[rank][c])), denom)
-        denom = p
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
 
 
 def lp_affine_dim(nv: int, eqs: Sequence, les: Sequence, ring) -> int:

@@ -19,19 +19,12 @@ from math import atan2, gcd, sqrt
 from random import Random
 from typing import Optional, Sequence
 
-from ._lp import INT_RING, lp_feasible
+from ._lp import INT_RING, SingularSystemError, lp_cramer, lp_feasible
 from .delone import complex_to_json, delone_complex, hull_complex
 from .lift import verify_lift
 from .sites import LatticeWindow, SiteSet, lattice_points, sites_from_json
 from .tropcore import hpoint_from_json
-from .voronoi import (
-    VoronoiDiagram,
-    VoronoiRegion,
-    diagram_to_json,
-    region,
-    region_to_json,
-    voronoi_diagram,
-)
+from .voronoi import diagram_to_json, region, region_to_json, voronoi_diagram
 
 PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -103,29 +96,6 @@ def _project(p) -> tuple:
     return x, -y
 
 
-def _solve3(rows: Sequence) -> Optional[tuple]:
-    """Cramer solution of three independent linear equations a.x = b."""
-    (a, p), (b, q), (c, r) = rows
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-    if det == 0:
-        return None
-    cols = []
-    for k in range(3):
-        m = [list(a), list(b), list(c)]
-        m[0][k], m[1][k], m[2][k] = p, q, r
-        dk = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        cols.append(Fraction(dk, det))
-    return tuple(cols)
-
-
 def _piece_generators(piece) -> tuple:
     """Vertices and extreme recession directions of {x in H : rows}, n = 3."""
     rows = [(tuple(c), rhs) for c, rhs in piece]
@@ -133,9 +103,11 @@ def _piece_generators(piece) -> tuple:
     verts = []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            pt = _solve3([rows[i], rows[j], ones])
-            if pt is None:
+            try:
+                nums, den = lp_cramer([(*a, b) for a, b in (rows[i], rows[j], ones)], INT_RING)
+            except SingularSystemError:
                 continue
+            pt = tuple(Fraction(num, den) for num in nums)
             if all(sum(c * x for c, x in zip(cs, pt)) <= rhs for cs, rhs in rows):
                 if pt not in verts:
                     verts.append(pt)

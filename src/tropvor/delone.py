@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
-from ._lp import PolyRing, ZPoly, lp_strictly_feasible
+from ._lp import PolyRing, ZPoly, lp_strictly_feasible, zp_neg
 from .lift import DIM_CAP, LIFT_CAP
 from .sites import SiteSet
 from .voronoi import SITE_CAP, cell, region
@@ -120,16 +119,12 @@ def _lift_rows(S: SiteSet):
     return rows
 
 
-def _neg(row) -> tuple:
-    return tuple({e: -c for e, c in p.items()} for p in row)
-
-
 def _support_feasible(rows, F, exact: bool, nvars: int, ring) -> bool:
     """Is there a strictly positive normal whose support plane through the
     sites of F keeps every other site (weakly, or strictly when exact) above?"""
     zero: ZPoly = ring.zero
     eqs = [(rows[i], zero) for i in F]
-    others = [(_neg(rows[i]), zero) for i in range(len(rows)) if i not in F]
+    others = [(tuple(map(zp_neg, rows[i])), zero) for i in range(len(rows)) if i not in F]
     strict = []
     for k in range(nvars - 1):
         coeffs = [zero] * nvars

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
+
+# SingularSystemError is re-exported: of_solve_linear raises it
+from ._lp import POLY_RING, SingularSystemError, ZPoly, lp_cramer
 
 Rat = Fraction
 
@@ -30,14 +34,6 @@ _ONE = Fraction(1)
 
 class PoleError(ValueError):
     """Raised when a rational function is evaluated at a denominator root."""
-
-
-class SingularSystemError(ValueError):
-    """Raised by of_solve_linear on a singular matrix; carries the rank found."""
-
-    def __init__(self, rank: int):
-        super().__init__(f"singular system (rank {rank})")
-        self.rank = rank
 
 
 def rat_to_str(x: Rat) -> str:
@@ -308,35 +304,46 @@ def of_eval_at(f: RatFun, t0: Rat) -> tuple[Rat, Rat]:
 def of_solve_linear(A: Sequence[Sequence[RatFun]], b: Sequence[RatFun]) -> list[RatFun]:
     """Solve A x = b exactly over the field; A must be square and nonsingular.
 
-    Raises SingularSystemError with the rank found otherwise.
+    Each equation is cleared to integer polynomials and the system is solved
+    by the fraction-free kernel over PolyRing.  Raises SingularSystemError
+    with the rank found otherwise.
     """
     m = len(A)
     if any(len(row) != m for row in A) or len(b) != m:
         raise ValueError("A must be square with matching b")
-    # Gaussian elimination with exact field arithmetic.
-    M = [list(row) + [b[i]] for i, row in enumerate(A)]
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, m) if not M[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col]
-        for r in range(m):
-            if r == rank or M[r][col].is_zero():
-                continue
-            factor = M[r][col] / inv
-            for c in range(col, m + 1):
-                M[r][c] = M[r][c] - factor * M[rank][c]
-        rank += 1
-    if rank < m:
-        raise SingularSystemError(rank)
-    # Each row now has a single pivot; read the solution off in column order.
-    x: list[RatFun] = [RF_ZERO] * m
-    for r in range(m):
-        col = next(c for c in range(m) if not M[r][c].is_zero())
-        x[col] = M[r][m] / M[r][col]
-    return x
+    rows = [clear_ratfun_row(list(row) + [rhs]) for row, rhs in zip(A, b)]
+    nums, den = lp_cramer(rows, POLY_RING)
+    return [ratfun_of_zpoly(num) / ratfun_of_zpoly(den) for num in nums]
+
+
+# ---------------------------------------------------------------------------
+# rows cleared to the integer rings of the LP kernel
+
+def clear_rat_row(values: Sequence[Rat]) -> tuple:
+    """Integer row proportional to a row of rationals, by the positive factor
+    of the lcm of the denominators."""
+    m = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (m // v.denominator) for v in values)
+
+
+def clear_ratfun_row(values: Sequence[RatFun]) -> tuple:
+    """Integer-polynomial row proportional to a row of rational functions.
+
+    The factor, the product of the (monic) denominators times the lcm of the
+    coefficient denominators, is positive in the field, so every sign and
+    every kernel is unchanged.
+    """
+    full = RF_ONE
+    for v in values:
+        full = full * RatFun(v.den)
+    cleared = [v * full for v in values]
+    m = lcm(*(co.denominator for c in cleared for co in c.num))
+    return tuple({e: int(co * m) for e, co in enumerate(c.num) if co} for c in cleared)
+
+
+def ratfun_of_zpoly(p: ZPoly) -> RatFun:
+    """The integer polynomial p as a rational function."""
+    return RatFun([p.get(e, 0) for e in range(max(p) + 1)]) if p else RF_ZERO
 
 
 # ---------------------------------------------------------------------------

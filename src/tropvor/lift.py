@@ -23,7 +23,7 @@ points of a power region map into the matching Voronoi region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -32,15 +32,18 @@ from typing import Optional, Sequence, Union
 
 from ._lp import (
     INT_RING,
+    POLY_RING,
     PolyRing,
     ThresholdLedger,
     ZPoly,
     lp_affine_dim,
+    lp_det,
+    lp_rank,
     lp_strictly_feasible,
     zp_add,
     zp_mul,
+    zp_neg,
     zp_sign,
-    zp_sub,
 )
 from .exactnum import (
     RF_ONE,
@@ -48,13 +51,16 @@ from .exactnum import (
     Rat,
     RatFun,
     SingularSystemError,
+    clear_rat_row,
+    clear_ratfun_row,
     of_eval_at,
     of_solve_linear,
+    ratfun_of_zpoly,
     valstar,
 )
 from .sites import SiteSet, check_general_position
 from .tropcore import HPoint, TropicalHalfspace, normalize_to_H
-from .voronoi import VoronoiDiagram, region, region_contains, voronoi_diagram
+from .voronoi import diagram_to_json, label_lattice, region, region_contains, voronoi_diagram
 
 LIFT_CAP = 12
 GEN_CONSTRAINT_CAP = 20
@@ -175,68 +181,12 @@ def _row_value_sign(coeffs, offset, x) -> int:
     return acc.sign()
 
 
-def _int_poly_rows(rows) -> list:
-    """Coefficient rows cleared to integer-coefficient polynomials.
-
-    Each output row is a positive scalar multiple of the input row, so
-    feasibility signs and kernels are unchanged.
-    """
-    out = []
-    for coeffs, _ in rows:
-        full = RF_ONE
-        for c in coeffs:
-            full = full * RatFun(c.den)
-        cleared = [c * full for c in coeffs]
-        m = 1
-        for c in cleared:
-            for co in c.num:
-                m = lcm(m, co.denominator)
-        out.append(
-            [{e: int(co * m) for e, co in enumerate(c.num) if co} for c in cleared]
-        )
-    return out
-
-
 def _zp_dot_sign(row, d) -> int:
     acc: ZPoly = {}
     for rc, dc in zip(row, d):
         if rc and dc:
             acc = zp_add(acc, zp_mul(rc, dc))
     return zp_sign(acc)
-
-
-def _zp_det(M) -> ZPoly:
-    k = len(M)
-    if k == 1:
-        return M[0][0]
-    acc: ZPoly = {}
-    for j in range(k):
-        if not M[0][j]:
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in M[1:]]
-        term = zp_mul(M[0][j], _zp_det(minor))
-        acc = zp_add(acc, term) if j % 2 == 0 else zp_sub(acc, term)
-    return acc
-
-
-def _zp_rank(rows, n) -> int:
-    M = [list(r) for r in rows]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        lead = M[rank][col]
-        for r in range(rank + 1, len(M)):
-            if M[r][col]:
-                head = M[r][col]
-                M[r] = [
-                    zp_sub(zp_mul(lead, M[r][c]), zp_mul(head, M[rank][c]))
-                    for c in range(n)
-                ]
-        rank += 1
-    return rank
 
 
 def _kernel_direction(rows, n) -> Optional[list]:
@@ -247,40 +197,20 @@ def _kernel_direction(rows, n) -> Optional[list]:
     """
     d = []
     for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rows]
-        det = _zp_det(minor)
-        d.append({e: -v for e, v in det.items()} if j % 2 else det)
+        det = lp_det([[row[c] for c in range(n) if c != j] for row in rows], POLY_RING)
+        d.append(zp_neg(det) if j % 2 else det)
     return d if any(d) else None
-
-
-def _ratfun_of_zp(p: ZPoly) -> RatFun:
-    if not p:
-        return RF_ZERO
-    top = max(p)
-    return RatFun([p.get(e, 0) for e in range(top + 1)])
 
 
 def _primitive(d: Sequence[RatFun]) -> tuple:
     """Canonical representative of the ray through d: last nonzero coordinate
     scaled to 1, denominators cleared, integer content removed."""
     last = next(i for i in reversed(range(len(d))) if not d[i].is_zero())
-    d = [c / d[last] for c in d]
-    full = RF_ONE
-    for c in d:
-        full = full * RatFun(c.den)
-    d = [c * full for c in d]
-    m = 1
-    for c in d:
-        for co in c.num:
-            m = lcm(m, co.denominator)
-    polys = [[int(co * m) for co in c.num] for c in d]
-    g = 0
-    for p in polys:
-        for co in p:
-            g = gcd(g, co)
+    polys = clear_ratfun_row([c / d[last] for c in d])
+    g = gcd(*(co for p in polys for co in p.values()))
     if g > 1:
-        polys = [[co // g for co in p] for p in polys]
-    return tuple(RatFun(p) if p else RF_ZERO for p in polys)
+        polys = [{e: co // g for e, co in p.items()} for p in polys]
+    return tuple(ratfun_of_zpoly(p) for p in polys)
 
 
 def of_polyhedron_generators(P: OFPolyhedron):
@@ -295,11 +225,11 @@ def of_polyhedron_generators(P: OFPolyhedron):
     rows = _rows_of(P)
     if len(rows) > GEN_CONSTRAINT_CAP or n > DIM_CAP:
         raise ValueError("size cap exceeded")
-    zrows = _int_poly_rows(rows)
+    zrows = [clear_ratfun_row(coeffs) for coeffs, _ in rows]
 
     vertices: list = []
     if all(off.is_zero() for _, off in rows):
-        if _zp_rank(zrows, n) == n:
+        if lp_rank(zrows, POLY_RING) == n:
             vertices.append(tuple([RF_ZERO] * n))
     else:
         seen_pts = set()
@@ -330,10 +260,10 @@ def of_polyhedron_generators(P: OFPolyhedron):
         if fwd and bwd:
             raise ValueError("cone is not pointed")
         if bwd:
-            d = [{e: -v for e, v in p.items()} for p in d]
+            d = [zp_neg(p) for p in d]
         elif not fwd:
             continue
-        rf = [_ratfun_of_zp(p) for p in d]
+        rf = [ratfun_of_zpoly(p) for p in d]
         can = list(_primitive(rf))
         # _primitive scales the last nonzero coordinate to +1, which flips
         # the ray when that coordinate was negative; undo the flip.
@@ -368,33 +298,7 @@ class PowerDiagram:
     order: tuple  # (child, parent) index pairs, child strictly inside parent
 
 
-def power_diagram_to_json(d: PowerDiagram) -> dict:
-    return {
-        "cells": [{"T": list(c.label), "dim": c.dim} for c in d.cells],
-        "order": [list(pair) for pair in d.order],
-    }
-
-
-def _symbolic_row(deltas) -> tuple:
-    """Clear a RatFun row to integer polynomials; scaling by the (positive)
-    denominator product keeps every sign decision intact."""
-    full = RF_ONE
-    for dlt in deltas:
-        full = full * RatFun(dlt.den)
-    cleared = [dlt * full for dlt in deltas]
-    m = 1
-    for c in cleared:
-        for co in c.num:
-            m = lcm(m, co.denominator)
-    out = []
-    for c in cleared:
-        out.append({e: int(co * m) for e, co in enumerate(c.num) if co != 0})
-    return tuple(out)
-
-
-def _numeric_row(deltas) -> tuple:
-    m = lcm(*(d.denominator for d in deltas)) if deltas else 1
-    return tuple(int(d * m) for d in deltas)
+power_diagram_to_json = diagram_to_json
 
 
 def instantiate_lifts(lifts: Sequence[OFVector], t0: Rat) -> list:
@@ -432,7 +336,7 @@ def power_diagram_poset(
 
     symbolic = isinstance(lifts[0].coords[0], RatFun)
     ring = PolyRing(ledger) if symbolic else INT_RING
-    convert = _symbolic_row if symbolic else _numeric_row
+    convert = clear_ratfun_row if symbolic else clear_rat_row
     zero = ring.zero
 
     cache: dict = {}
@@ -466,74 +370,23 @@ def power_diagram_poset(
         les = [(prow(a0, b), zero) for b in range(len(lifts)) if b not in label]
         return eqs, les
 
-    def positive_feasible(label) -> bool:
+    def probe(label) -> Optional[PowerCell]:
         eqs, les = cell_rows(label)
-        return lp_strictly_feasible(n, eqs, orthant, les, ring)
+        if not lp_strictly_feasible(n, eqs, orthant, les, ring):
+            return None
+        return PowerCell(label, lp_affine_dim(n, eqs, les + orthant, ring))
 
-    def cell_dim(label) -> int:
-        eqs, les = cell_rows(label)
-        return lp_affine_dim(n, eqs, les + orthant, ring)
+    def contains(c: PowerCell, b: int) -> bool:
+        # the cell lies in the power region of b when no other lift is
+        # strictly farther anywhere on it
+        eqs, les = cell_rows(c.label)
+        return not any(
+            lp_strictly_feasible(n, eqs, [(prow(a, b), zero)], les + orthant, ring)
+            for a in range(len(lifts))
+            if a != b
+        )
 
-    max_size = min(len(lifts), n) if gp else len(lifts)
-    nonempty: dict = {}
-    frontier = []
-    for s in range(len(lifts)):
-        label = (s,)
-        if positive_feasible(label):
-            nonempty[label] = cell_dim(label)
-            frontier.append(label)
-    for size in range(2, max_size + 1):
-        candidates = set()
-        for label in frontier:
-            for s in range(len(lifts)):
-                if s not in label:
-                    candidates.add(tuple(sorted(label + (s,))))
-        frontier = []
-        for cand in sorted(candidates):
-            if any(cand[:i] + cand[i + 1 :] not in nonempty for i in range(size)):
-                continue
-            if positive_feasible(cand):
-                nonempty[cand] = cell_dim(cand)
-                frontier.append(cand)
-        if not frontier:
-            break
-
-    if gp:
-        canonical = dict(nonempty)
-    else:
-        canonical = {}
-        for label, dim in sorted(nonempty.items()):
-            eqs, les = cell_rows(label)
-            full = set(label)
-            for b in range(len(lifts)):
-                if b in full:
-                    continue
-                inside = True
-                for c in range(len(lifts)):
-                    if c == b:
-                        continue
-                    if lp_strictly_feasible(
-                        n, eqs, [(prow(c, b), zero)], les + orthant, ring
-                    ):
-                        inside = False
-                        break
-                if inside:
-                    full.add(b)
-            key = tuple(sorted(full))
-            if key not in canonical:
-                canonical[key] = dim
-
-    cells = tuple(
-        PowerCell(label, dim)
-        for label, dim in sorted(canonical.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    )
-    index = {c.label: i for i, c in enumerate(cells)}
-    order = []
-    for a in cells:
-        for b in cells:
-            if a.label != b.label and set(a.label) > set(b.label):
-                order.append((index[a.label], index[b.label]))
-    return PowerDiagram(cells, tuple(sorted(order)))
+    return PowerDiagram(*label_lattice(len(lifts), gp, n, probe, contains))
 
 
 # ---------------------------------------------------------------------------

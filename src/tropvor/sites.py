@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactnum import Rat, rat_from_str, rat_to_str
+from ._lp import INT_RING, lp_cramer, lp_rank
+from .exactnum import clear_rat_row
 from .tropcore import HPoint, hpoint_from_json, hpoint_to_json
 
 
@@ -150,7 +151,7 @@ class LatticeWindow:
                 raise ValueError("invalid basis")
             if n is not None and n != dim:
                 raise ValueError("invalid basis")
-            if _rank_fraction([list(p.coords) for p in bs]) != len(bs):
+            if lp_rank([clear_rat_row(p.coords) for p in bs], INT_RING) != len(bs):
                 raise ValueError("invalid basis")
             n = dim
         elif n is None:
@@ -204,13 +205,22 @@ def lattice_points(L: LatticeWindow):
         m = len(L.basis)
         # coordinate j of the combination sum(k_i * b_i) as a function of k
         M = [[L.basis[i][j] for i in range(m)] for j in range(L.n)]
-        inv, rows = _invert_row_subsystem(M, m)
-        # |k_i| <= sum_j |inv[i][j]| * B on the selected rows, exact bound
-        ranges = []
-        for i in range(m):
-            bound = sum(abs(inv[i][j]) * B for j in range(m))
-            k = int(bound)
-            ranges.append(range(-k, k + 1))
+        # on the first m independent rows A of M (they exist, the basis is
+        # independent) k = A^-1 y with every |y_j| <= B, so the exact bound
+        # is |k_i| <= sum_j |A^-1[i][j]| * B; column j of A^-1 solves A x = e_j
+        A: list = []
+        for row in M:
+            if lp_rank([clear_rat_row(r) for r in A + [row]], INT_RING) > len(A):
+                A.append(row)
+                if len(A) == m:
+                    break
+        bounds = [Fraction(0)] * m
+        for j in range(m):
+            rows = [clear_rat_row(r + [int(i == j)]) for i, r in enumerate(A)]
+            nums, den = lp_cramer(rows, INT_RING)
+            for i in range(m):
+                bounds[i] += abs(Fraction(nums[i], den)) * B
+        ranges = [range(-int(b), int(b) + 1) for b in bounds]
         for ks in product(*ranges):
             coords = tuple(
                 sum(ks[i] * L.basis[i][j] for i in range(m)) for j in range(L.n)
@@ -226,69 +236,8 @@ def lattice_points(L: LatticeWindow):
         occupied.add(tuple(i for i in range(L.n) if c[i] > 0))
     missing = []
     for size in range(1, L.n):
-        for I in _subsets_of_size(L.n, size):
+        for I in combinations(range(L.n), size):
             if I not in occupied:
                 missing.append(I)
     return S, WindowReport(not missing, tuple(missing))
 
-
-def _subsets_of_size(n: int, k: int):
-    from itertools import combinations
-
-    return combinations(range(n), k)
-
-
-def _rank_fraction(rows: list) -> int:
-    M = [[Fraction(c) for c in r] for r in rows]
-    rank = 0
-    ncols = len(M[0]) if M else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        lead = M[rank][col]
-        for r in range(len(M)):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col] / lead
-                for c in range(ncols):
-                    M[r][c] -= f * M[rank][c]
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
-
-
-def _invert_row_subsystem(M: list, m: int):
-    """Inverse of an invertible m x m row subsystem of the tall matrix M.
-
-    Returns (inverse, row_indices).  The basis is independent, so such rows
-    exist.
-    """
-    chosen: list = []
-    work: list = []
-    for j in range(len(M)):
-        cand = work + [[Fraction(c) for c in M[j]]]
-        if _rank_fraction(cand) == len(cand):
-            work = cand
-            chosen.append(j)
-            if len(chosen) == m:
-                break
-    A = [[Fraction(M[j][i]) for i in range(m)] for j in chosen]
-    inv = _invert_fraction(A)
-    return inv, chosen
-
-
-def _invert_fraction(A: list) -> list:
-    m = len(A)
-    aug = [list(A[r]) + [Fraction(1) if c == r else Fraction(0) for c in range(m)] for r in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]

@@ -18,22 +18,22 @@ exactly by hull membership against the other candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._lp import (
     INT_RING,
-    OPTIMAL,
     UNBOUNDED,
+    SingularSystemError,
     lp_affine_dim,
+    lp_cramer,
     lp_feasible,
     lp_solve,
     lp_strictly_feasible,
 )
-from .exactnum import Rat, rat_from_str, rat_to_str
+from .exactnum import clear_rat_row
 from .sites import SiteSet, check_general_position, signature_reduce
 from .tropcore import (
     HPoint,
@@ -58,31 +58,23 @@ def _ones_row(n: int):
     return ([1] * n, 0)
 
 
-def _clear_row(coeffs: Sequence[Fraction], rhs: Fraction):
-    m = lcm(rhs.denominator, *(c.denominator for c in coeffs)) if coeffs else rhs.denominator
-    return tuple(int(c * m) for c in coeffs), int(rhs * m)
+def _difference_row(n: int, p: int, q: int, r: Fraction):
+    """The row x_p - x_q <= r (or = r), cleared to integers."""
+    coeffs = [Fraction(0)] * n
+    coeffs[p] = Fraction(1)
+    coeffs[q] = Fraction(-1)
+    row = clear_rat_row(coeffs + [r])
+    return row[:-1], row[-1]
 
 
 def _choice_rows(h: TropicalHalfspace, j: int, dj: Fraction):
     """Weak rows of the piece of h where right term j dominates the left."""
-    rows = []
-    for i, ci in zip(h.I, h.c):
-        coeffs = [Fraction(0)] * h.n
-        coeffs[i] = Fraction(1)
-        coeffs[j] = Fraction(-1)
-        rows.append(_clear_row(coeffs, dj - ci))
-    return rows
+    return [_difference_row(h.n, i, j, dj - ci) for i, ci in zip(h.I, h.c)]
 
 
 def _complement_rows(h: TropicalHalfspace, i: int, ci: Fraction):
     """Strict rows of the complement piece where left term i beats all of J."""
-    rows = []
-    for j, dj in zip(h.J, h.d):
-        coeffs = [Fraction(0)] * h.n
-        coeffs[j] = Fraction(1)
-        coeffs[i] = Fraction(-1)
-        rows.append(_clear_row(coeffs, ci - dj))
-    return rows
+    return [_difference_row(h.n, j, i, ci - dj) for j, dj in zip(h.J, h.d)]
 
 
 def _rows_feasible(n: int, rows) -> bool:
@@ -173,45 +165,17 @@ def _term_hyperplanes(halfspaces: Sequence[TropicalHalfspace]):
     return sorted(pool)
 
 
-def _solve_point(n: int, planes) -> Optional[tuple]:
-    """Unique solution on H of the given term-equality hyperplanes, if any."""
-    rows = []
-    for p, q, r in planes:
-        row = [Fraction(0)] * n + [r]
-        row[p] = Fraction(1)
-        row[q] = Fraction(-1)
-        rows.append(row)
-    rows.append([Fraction(1)] * n + [Fraction(0)])
-    # Gauss-Jordan; unique solution iff rank n
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    # inconsistent leftover rows mean no common point
-    for r in range(rank, len(rows)):
-        if rows[r][n] != 0:
-            return None
-    return tuple(rows[i][n] for i in range(n))
-
-
 def _extreme_points(halfspaces: Sequence[TropicalHalfspace], n: int):
     pool = _term_hyperplanes(halfspaces)
     seen = set()
     for planes in combinations(pool, n - 1):
-        pt = _solve_point(n, planes)
-        if pt is not None:
-            seen.add(pt)
+        # the unique point of H on the n - 1 planes, when there is one
+        rows = [_difference_row(n, p, q, r) for p, q, r in planes] + [_ones_row(n)]
+        try:
+            nums, den = lp_cramer([(*a, b) for a, b in rows], INT_RING)
+        except SingularSystemError:
+            continue
+        seen.add(tuple(Fraction(num, den) for num in nums))
     members = [
         HPoint(pt)
         for pt in sorted(seen)
@@ -321,65 +285,81 @@ def _cell_inside_region(n: int, c: DiagramCell, hs_list) -> bool:
     return True
 
 
-def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
-    """All nonempty cells with canonical labels and the inclusion order.
+def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Callable):
+    """Nonempty cells of a diagram on count sites, with canonical labels and
+    their inclusion order; the one label-lattice walk behind the tropical
+    diagram and the lifted power diagram.
 
-    Labels are canonical: the label of a cell is the set of every site whose
-    region contains it, which makes cell inclusion the reverse of label
-    inclusion.  In general position the enumerated label is already
-    canonical, since dimensions drop strictly with the label size.
+    probe(label) returns the cell of a sorted label, or None when it is
+    empty; a label is probed only when every label one site smaller is
+    nonempty.  The canonical label of a cell is the set of every site s with
+    contains(cell, s).  In general position (gp) the enumerated label is
+    already canonical and cells have at most n sites, since dimensions drop
+    strictly with the label size.  Returns (cells, order): cells sorted by
+    label size, then label, and (child, parent) index pairs with the child
+    strictly inside the parent.
     """
-    if len(S) > SITE_CAP:
-        raise ValueError("instance too large")
-    n = S.n
-    gp, _ = check_general_position(S)
-    table = _site_halfspaces(S)
-    max_size = min(len(S), n) if gp else len(S)
-
     nonempty: dict = {}
-    frontier = []
-    for s in range(len(S)):
-        c = _cell_from_lists(n, (s,), [table[s]])
-        nonempty[c.label] = c
-        frontier.append(c.label)
-    for size in range(2, max_size + 1):
-        candidates = set()
-        for label in frontier:
-            for s in range(len(S)):
-                if s not in label:
-                    candidates.add(tuple(sorted(label + (s,))))
+    candidates = [(s,) for s in range(count)]
+    for size in range(1, (min(count, n) if gp else count) + 1):
         frontier = []
-        for cand in sorted(candidates):
-            if any(cand[:i] + cand[i + 1 :] not in nonempty for i in range(size)):
-                continue
-            c = _cell_from_lists(n, cand, [table[s] for s in cand])
-            if c.dim >= 0:
-                nonempty[c.label] = c
-                frontier.append(c.label)
-        if not frontier:
-            break
+        for label in candidates:
+            c = probe(label)
+            if c is not None:
+                nonempty[label] = c
+                frontier.append(label)
+        grown = {
+            tuple(sorted(label + (s,)))
+            for label in frontier
+            for s in range(count)
+            if s not in label
+        }
+        candidates = [
+            cand
+            for cand in sorted(grown)
+            if all(cand[:i] + cand[i + 1 :] in nonempty for i in range(size + 1))
+        ]
 
     if gp:
-        canonical = dict(nonempty)
+        canonical = nonempty
     else:
         canonical = {}
         for label, c in sorted(nonempty.items()):
-            full = set(label)
-            for s in range(len(S)):
-                if s not in full and _cell_inside_region(n, c, table[s]):
-                    full.add(s)
-            key = tuple(sorted(full))
+            key = tuple(s for s in range(count) if s in label or contains(c, s))
             if key not in canonical:
-                canonical[key] = DiagramCell(key, c.dim, c.pieces)
+                canonical[key] = replace(c, label=key)
 
-    cells = tuple(sorted(canonical.values(), key=lambda c: (len(c.label), c.label)))
+    cells = tuple(canonical[key] for key in sorted(canonical, key=lambda k: (len(k), k)))
     index = {c.label: i for i, c in enumerate(cells)}
     order = []
     for a in cells:
         for b in cells:
             if a.label != b.label and set(a.label) > set(b.label):
                 order.append((index[a.label], index[b.label]))
-    return VoronoiDiagram(cells, tuple(sorted(order)))
+    return cells, tuple(sorted(order))
+
+
+def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
+    """All nonempty cells with canonical labels and the inclusion order.
+
+    Labels are canonical: the label of a cell is the set of every site whose
+    region contains it, which makes cell inclusion the reverse of label
+    inclusion.
+    """
+    if len(S) > SITE_CAP:
+        raise ValueError("instance too large")
+    n = S.n
+    gp, _ = check_general_position(S)
+    table = _site_halfspaces(S)
+
+    def probe(label) -> Optional[DiagramCell]:
+        c = _cell_from_lists(n, label, [table[s] for s in label])
+        return c if c.dim >= 0 else None
+
+    def contains(c: DiagramCell, s: int) -> bool:
+        return _cell_inside_region(n, c, table[s])
+
+    return VoronoiDiagram(*label_lattice(len(S), gp, n, probe, contains))
 
 
 def diagram_to_json(d: VoronoiDiagram) -> dict:

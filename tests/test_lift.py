@@ -317,6 +317,38 @@ def test_verify_lift_random_general_position():
     assert rep["failures"] == []
 
 
+# Three trios of the acceptance suite's lift mix, with the ledger bound, sign
+# query count and sample count of their certificates.  The bound must not
+# move; fewer sign queries for the same bound are fine.
+CERTIFIED_TRIOS = [
+    (((-8, -7, 15), (6, 7, -13), (-9, -8, 17)), 5, 1026, 14),
+    (((6, 9, -15), ("-5/2", 2, "1/2"), (10, 12, -22)), 5, 1235, 14),
+    ((("7/2", -12, "17/2"), (-5, -4, 9), (-2, 4, -2)), 7, 1287, 15),
+]
+
+
+@pytest.mark.parametrize("rows, bound, queries, samples", CERTIFIED_TRIOS)
+def test_verify_lift_certificate_is_pinned(rows, bound, queries, samples):
+    ledger = ThresholdLedger()
+    rep = verify_lift(sites(*rows), ledger)
+    assert rep["isomorphic"] and rep["failures"] == []
+    assert ledger.bound == bound
+    assert ledger.queries <= queries
+    assert rep["containment_samples"] == samples
+
+
+def test_verify_lift_canonical_relabelling_on_both_sides():
+    # sites 0 and 1 share a coordinate, so both diagrams take the
+    # non-general-position path that canonicalises labels, yet the set is
+    # sufficiently generic
+    S = sites((3, -6, 3), (3, 4, -7), (5, -1, -4))
+    assert not check_general_position(S)[0]
+    rep = verify_lift(S)
+    assert rep["isomorphic"]
+    assert rep["failures"] == []
+    assert rep["cells_tropical"] == rep["cells_lifted"] == 5
+
+
 def test_verify_lift_rejects_degenerate_pair():
     with pytest.raises(ValueError, match="precondition: genericity"):
         verify_lift(sites((-5, -5, 10), (-5, 10, -5)))

@@ -1,4 +1,4 @@
-"""Kernel tests: fraction-free simplex over both coefficient rings."""
+"""Kernel tests: fraction-free simplex and elimination over both coefficient rings."""
 
 from __future__ import annotations
 
@@ -11,10 +11,14 @@ from tropvor._lp import (
     INFEASIBLE,
     INT_RING,
     OPTIMAL,
+    POLY_RING,
     UNBOUNDED,
     PolyRing,
+    SingularSystemError,
     ThresholdLedger,
     lp_affine_dim,
+    lp_cramer,
+    lp_det,
     lp_feasible,
     lp_rank,
     lp_solve,
@@ -27,6 +31,7 @@ from tropvor._lp import (
     zp_sign,
     zp_sub,
 )
+from tropvor.exactnum import clear_rat_row
 
 R = INT_RING
 
@@ -103,6 +108,11 @@ def test_rank():
     assert lp_rank([[0, 0], [0, 0]], R) == 0
     assert lp_rank([], R) == 0
     assert lp_rank([[1, 2], [3, 4], [5, 6]], R) == 2
+
+
+def test_empty_square_systems():
+    assert lp_det([], R) == 1
+    assert lp_cramer([], R) == ([], 1)
 
 
 def test_affine_dim_square():
@@ -284,3 +294,146 @@ def test_zp_basics():
     assert zp_cauchy({0: 7}) == 1
     assert zp_cauchy({1: 2, 0: -10}) == 6
     assert zp_eval({2: 1, 0: -1}, Fraction(3, 2)) == Fraction(5, 4)
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel, against independent references
+
+def cofactor_det(M, ring):
+    """Reference determinant by cofactor expansion along the first row."""
+    k = len(M)
+    if k == 1:
+        return M[0][0]
+    acc = ring.zero
+    for j in range(k):
+        if ring.sign(M[0][j]) == 0:
+            continue
+        minor = [[row[c] for c in range(k) if c != j] for row in M[1:]]
+        term = ring.mul(M[0][j], cofactor_det(minor, ring))
+        acc = ring.add(acc, term) if j % 2 == 0 else ring.sub(acc, term)
+    return acc
+
+
+def fraction_rank(rows) -> int:
+    """Reference rank by plain Gauss elimination over Fraction."""
+    M = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(M[0]) if M else 0):
+        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for r in range(rank + 1, len(M)):
+            f = M[r][col] / M[rank][col]
+            M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+def cramer_kernel(rows, ring):
+    """d_j = (-1)^j det(rows without column j) for an (n-1) x n system."""
+    n = len(rows) + 1
+    d = []
+    for j in range(n):
+        det = lp_det([[row[c] for c in range(n) if c != j] for row in rows], ring)
+        d.append(ring.sub(ring.zero, det) if j % 2 else det)
+    return d
+
+
+def dot(row, x, ring):
+    acc = ring.zero
+    for a, v in zip(row, x):
+        acc = ring.add(acc, ring.mul(a, v))
+    return acc
+
+
+def with_dependent_row(draw, M, ring):
+    """Often replace the last row by a combination of the others, so that
+    singular and rank-deficient systems come up regularly."""
+    if len(M) > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, len(M) - 2))
+        c = ring.from_int(draw(st.integers(-2, 2)))
+        M[-1] = [ring.add(ring.mul(c, x), y) for x, y in zip(M[k], M[0])]
+    return M
+
+
+small = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def square_systems(draw, ring):
+    """(ring, augmented rows of a square system) over IntRing or PolyRing."""
+    n = draw(st.integers(1, 4))
+    entry = small if ring is INT_RING else zpolys
+    M = [[draw(entry) for _ in range(n + 1)] for _ in range(n)]
+    return ring, with_dependent_row(draw, M, ring)
+
+
+@st.composite
+def kernel_systems(draw, ring):
+    n = draw(st.integers(2, 4))
+    entry = small if ring is INT_RING else zpolys
+    M = [[draw(entry) for _ in range(n)] for _ in range(n - 1)]
+    return ring, with_dependent_row(draw, M, ring)
+
+
+both_rings = st.sampled_from([INT_RING, POLY_RING])
+
+
+@given(both_rings.flatmap(square_systems))
+@settings(max_examples=150, deadline=None)
+def test_det_matches_cofactor_expansion(system):
+    ring, rows = system
+    A = [r[:-1] for r in rows]
+    assert lp_det(A, ring) == cofactor_det(A, ring)
+
+
+fractions = st.builds(Fraction, small, st.integers(1, 4))
+
+
+@st.composite
+def fraction_matrices(draw):
+    ncols = draw(st.integers(1, 4))
+    row = st.lists(fractions, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    if len(rows) > 1 and draw(st.booleans()):
+        # a scaled copy of the first row keeps rank deficiency common
+        c = draw(fractions)
+        rows[-1] = [c * x for x in rows[0]]
+    return rows
+
+
+@given(fraction_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_of_cleared_rows_matches_fraction_gauss(rows):
+    assert lp_rank([clear_rat_row(r) for r in rows], INT_RING) == fraction_rank(rows)
+
+
+@given(both_rings.flatmap(square_systems))
+@settings(max_examples=150, deadline=None)
+def test_cramer_solves_or_reports_the_rank(system):
+    ring, rows = system
+    A = [r[:-1] for r in rows]
+    try:
+        nums, den = lp_cramer(rows, ring)
+    except SingularSystemError as exc:
+        assert exc.rank == lp_rank(A, ring) < len(A)
+        assert ring.sign(cofactor_det(A, ring)) == 0
+        return
+    assert ring.sign(den) != 0
+    assert lp_rank(A, ring) == len(A)
+    # A (nums / den) = b, cleared of the denominator
+    for row in rows:
+        assert dot(row[:-1], nums, ring) == ring.mul(row[-1], den)
+
+
+@given(both_rings.flatmap(kernel_systems))
+@settings(max_examples=150, deadline=None)
+def test_cramer_minors_span_the_kernel(system):
+    ring, rows = system
+    n = len(rows) + 1
+    d = cramer_kernel(rows, ring)
+    for row in rows:
+        assert ring.sign(dot(row, d, ring)) == 0
+    nonzero = any(ring.sign(x) != 0 for x in d)
+    assert nonzero == (lp_rank(rows, ring) == n - 1)
