@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._lp import PolyRing, ZPoly, lp_strictly_feasible, zp_neg
-from .lift import DIM_CAP, LIFT_CAP
-from .sites import SiteSet
-from .voronoi import SITE_CAP, cell, region
+from .sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet
+from .voronoi import cell, region
 
 
 @dataclass(frozen=True)

@@ -58,13 +58,10 @@ from .exactnum import (
     ratfun_of_zpoly,
     valstar,
 )
-from .sites import SiteSet, check_general_position
+from .sites import DIM_CAP, GEN_CONSTRAINT_CAP, LIFT_CAP, SiteSet, check_general_position
 from .tropcore import HPoint, TropicalHalfspace, normalize_to_H
 from .voronoi import diagram_to_json, label_lattice, region, region_contains, voronoi_diagram
 
-LIFT_CAP = 12
-GEN_CONSTRAINT_CAP = 20
-DIM_CAP = 5
 
 Scalar = Union[RatFun, Fraction]
 

@@ -21,6 +21,13 @@ from ._lp import INT_RING, lp_cramer, lp_rank
 from .exactnum import clear_rat_row
 from .tropcore import HPoint, hpoint_from_json, hpoint_to_json
 
+# Size caps of the exponential enumerations, set here for every module: sites
+# per diagram, lifts per poset, dimension, and rows per lifted polyhedron.
+SITE_CAP = 12
+LIFT_CAP = 12
+DIM_CAP = 5
+GEN_CONSTRAINT_CAP = 20
+
 
 @dataclass(frozen=True)
 class SiteSet:

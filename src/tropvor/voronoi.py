@@ -1,40 +1,31 @@
-"""Voronoi regions, cells, and the diagram poset, all decided by exact LP.
+"""Voronoi regions, cells, and the diagram poset, decided by shortest paths.
 
 Every tropical halfspace turns into ordinary linear pieces by branching on
 which right-side term attains the maximum; complements branch on the left
-term with a strict inequality.  Intersections of regions are therefore finite
-unions of ordinary polyhedra inside H, and feasibility, containment,
-redundancy, and dimension all reduce to rational linear programs solved in
-integer arithmetic after clearing denominators.
+term with a strict inequality.  Every row is a difference bound
+x_p - x_q <= r (or < r), so every piece is a polytrope and is kept as its
+closed difference-bound matrix: shortest paths between the n coordinates,
+with exact rational bounds.  The closure decides everything.  A piece is
+empty when it has a negative cycle or a zero cycle through a strict bound;
+its dimension in H is its number of zero-cycle classes minus one; it is
+bounded when every bound is finite; and it lies in a halfspace when every
+strict complement piece added to it is empty.
 
-Tropical extreme points of a bounded region are found among the zero-cells
-of the arrangement of term-equality hyperplanes of its halfspaces: at any
-region point where that arrangement leaves a degree of freedom, some
-indicator direction chi_A moves both ways without leaving the region, and
-x = max(u - eps*chi_A applied two-sidedly) exhibits x as a tropical
-combination, so it is not extreme.  Extremality itself is then decided
-exactly by hull membership against the other candidates.
+A polytrope is the tropical hull of its Kleene-star generators, the negated
+rows of its closed matrix.  A bounded region is the union of its pieces and
+is tropically convex, so its tropical extreme points are among the
+generators of its pieces, and hull membership against the other candidates
+picks them out exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from ._lp import (
-    INT_RING,
-    UNBOUNDED,
-    SingularSystemError,
-    lp_affine_dim,
-    lp_cramer,
-    lp_feasible,
-    lp_solve,
-    lp_strictly_feasible,
-)
 from .exactnum import clear_rat_row
-from .sites import SiteSet, check_general_position, signature_reduce
+from .sites import SITE_CAP, SiteSet, check_general_position, signature_reduce
 from .tropcore import (
     HPoint,
     TropicalHalfspace,
@@ -45,21 +36,75 @@ from .tropcore import (
     halfspace_to_json,
     hpoint_from_json,
     hpoint_to_json,
+    normalize_to_H,
     tconv_membership,
 )
 
-SITE_CAP = 12
-
 
 # ---------------------------------------------------------------------------
-# ordinary pieces of tropical constraints
+# pieces as closed difference-bound matrices
+#
+# D[p][q] is the tightest bound on x_p - x_q as a pair (r, weak): weak is 1
+# for <= r and 0 for < r, so pairs order by tightness and add componentwise
+# (the bits by &).  None means no bound.
 
-def _ones_row(n: int):
-    return ([1] * n, 0)
+_ZERO = (Fraction(0), 1)
+
+
+def _free(n: int) -> list:
+    """The closed matrix of all of H."""
+    return [[_ZERO if p == q else None for q in range(n)] for p in range(n)]
+
+
+def _tighten(D: list, p: int, q: int, bound: tuple) -> Optional[list]:
+    """The closure of D with x_p - x_q bounded by bound added, or None when
+    that system is empty.
+
+    D is closed, so a new shortest path takes the new edge once,
+    i -> p -> q -> j, and a new negative or strict zero cycle closes the
+    edge with D[q][p].
+    """
+    if D[p][q] is not None and D[p][q] <= bound:
+        return D
+    back = D[q][p]
+    if back is not None and (back[0] + bound[0], back[1] & bound[1]) < _ZERO:
+        return None
+    out = [row[:] for row in D]
+    for i, head in enumerate(D):
+        a = head[p]
+        if a is None:
+            continue
+        for j, b in enumerate(D[q]):
+            if b is not None:
+                w = (a[0] + bound[0] + b[0], a[1] & bound[1] & b[1])
+                if out[i][j] is None or w < out[i][j]:
+                    out[i][j] = w
+    return out
+
+
+def _close(D: Optional[list], edges, weak: int) -> Optional[list]:
+    """D with every edge (p, q, r), x_p - x_q <= r (weak) or < r, added."""
+    for p, q, r in edges:
+        if D is None:
+            break
+        D = _tighten(D, p, q, (r, weak))
+    return D
+
+
+def _dim(D: list) -> int:
+    """Dimension in H of a nonempty closed piece: zero-cycle classes minus 1."""
+    return sum(
+        all(D[i][j] is None or D[j][i] is None or D[i][j][0] + D[j][i][0] != 0 for j in range(i))
+        for i in range(len(D))
+    ) - 1
+
+
+def _bounded(D: list) -> bool:
+    return all(b is not None for row in D for b in row)
 
 
 def _difference_row(n: int, p: int, q: int, r: Fraction):
-    """The row x_p - x_q <= r (or = r), cleared to integers."""
+    """The row x_p - x_q <= r, cleared to integers."""
     coeffs = [Fraction(0)] * n
     coeffs[p] = Fraction(1)
     coeffs[q] = Fraction(-1)
@@ -67,68 +112,43 @@ def _difference_row(n: int, p: int, q: int, r: Fraction):
     return row[:-1], row[-1]
 
 
-def _choice_rows(h: TropicalHalfspace, j: int, dj: Fraction):
-    """Weak rows of the piece of h where right term j dominates the left."""
-    return [_difference_row(h.n, i, j, dj - ci) for i, ci in zip(h.I, h.c)]
+def _choice_edges(h: TropicalHalfspace, j: int, dj: Fraction):
+    """Weak edges of the piece of h where right term j dominates the left."""
+    return [(i, j, dj - ci) for i, ci in zip(h.I, h.c)]
 
 
-def _complement_rows(h: TropicalHalfspace, i: int, ci: Fraction):
-    """Strict rows of the complement piece where left term i beats all of J."""
-    return [_difference_row(h.n, j, i, ci - dj) for j, dj in zip(h.J, h.d)]
+def _complement_edges(h: TropicalHalfspace, i: int, ci: Fraction):
+    """Strict edges of the complement piece where left term i beats all of J."""
+    return [(j, i, ci - dj) for j, dj in zip(h.J, h.d)]
 
 
-def _rows_feasible(n: int, rows) -> bool:
-    return lp_feasible(n, [_ones_row(n)], list(rows), INT_RING) is not None
-
-
-def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, base=()):
-    """Feasible complete row systems of the intersection, pruned by prefix."""
+def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int):
+    """Nonempty pieces of the intersection as (integer rows, closed matrix)
+    pairs, one per choice of right term in each halfspace, pruned by prefix."""
     out: list = []
 
-    def rec(idx: int, rows: tuple) -> None:
-        if not _rows_feasible(n, rows):
-            return
+    def rec(idx: int, rows: tuple, D: list) -> None:
         if idx == len(halfspaces):
-            out.append(rows)
+            out.append((rows, D))
             return
         h = halfspaces[idx]
         for j, dj in zip(h.J, h.d):
-            rec(idx + 1, rows + tuple(_choice_rows(h, j, dj)))
+            edges = _choice_edges(h, j, dj)
+            E = _close(D, edges, 1)
+            if E is not None:
+                rec(idx + 1, rows + tuple(_difference_row(n, *e) for e in edges), E)
 
-    rec(0, tuple(base))
+    rec(0, (), _free(n))
     return out
 
 
-def _piece_inside_halfspace(n: int, piece, h: TropicalHalfspace) -> bool:
-    for i, ci in zip(h.I, h.c):
-        strict = _complement_rows(h, i, ci)
-        if lp_strictly_feasible(n, [_ones_row(n)], strict, list(piece), INT_RING):
-            return False
-    return True
+def _inside(D: list, h: TropicalHalfspace) -> bool:
+    return all(_close(D, _complement_edges(h, i, ci), 0) is None for i, ci in zip(h.I, h.c))
 
 
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
     """Is the intersection of the others already inside h?"""
-    n = h.n
-    for piece in _pieces(list(others), n):
-        if not _piece_inside_halfspace(n, piece, h):
-            return False
-    return True
-
-
-def _piece_bounded(n: int, piece) -> bool:
-    eqs = [_ones_row(n)]
-    for k in range(n):
-        for sgn in (1, -1):
-            obj = [0] * n
-            obj[k] = sgn
-            if lp_solve(n, eqs, list(piece), obj, INT_RING).status == UNBOUNDED:
-                return False
-    return True
-
-
-def _piece_dim(n: int, piece) -> int:
-    return lp_affine_dim(n, [_ones_row(n)], list(piece), INT_RING)
+    return all(_inside(D, h) for _, D in _pieces(list(others), h.n))
 
 
 # ---------------------------------------------------------------------------
@@ -153,39 +173,15 @@ def region_contains(r: VoronoiRegion, x: HPoint) -> bool:
     return all(halfspace_contains(h, x) for h in r.halfspaces)
 
 
-def _term_hyperplanes(halfspaces: Sequence[TropicalHalfspace]):
-    """Distinct term-equality hyperplanes x_p - x_q = r, one per tied pair."""
-    pool = set()
-    for h in halfspaces:
-        terms = list(zip(h.I, h.c)) + list(zip(h.J, h.d))
-        for (p, alpha), (q, beta) in combinations(terms, 2):
-            if p > q:
-                p, q, alpha, beta = q, p, beta, alpha
-            pool.add((p, q, beta - alpha))
-    return sorted(pool)
-
-
-def _extreme_points(halfspaces: Sequence[TropicalHalfspace], n: int):
-    pool = _term_hyperplanes(halfspaces)
-    seen = set()
-    for planes in combinations(pool, n - 1):
-        # the unique point of H on the n - 1 planes, when there is one
-        rows = [_difference_row(n, p, q, r) for p, q, r in planes] + [_ones_row(n)]
-        try:
-            nums, den = lp_cramer([(*a, b) for a, b in rows], INT_RING)
-        except SingularSystemError:
-            continue
-        seen.add(tuple(Fraction(num, den) for num in nums))
-    members = [
-        HPoint(pt)
-        for pt in sorted(seen)
-        if all(halfspace_contains(h, HPoint(pt)) for h in halfspaces)
-    ]
+def _extreme_points(closures: Sequence[list]):
+    """Tropical extreme points of the union of bounded closed pieces, sorted."""
+    candidates = {normalize_to_H([-b[0] for b in row]) for D in closures for row in D}
+    members = sorted(candidates, key=lambda g: g.coords)
     if len(members) <= 1:
         return tuple(members)
     out = []
     for g in members:
-        rest = [c for c in members if c.coords != g.coords]
+        rest = [c for c in members if c != g]
         if not tconv_membership(g, rest):
             out.append(g)
     return tuple(out)
@@ -205,11 +201,9 @@ def region(S: SiteSet, s: int) -> VoronoiRegion:
         else:
             i += 1
 
-    n = S.n
-    pieces = _pieces(kept, n)
-    bounded = bool(kept) and all(_piece_bounded(n, p) for p in pieces)
-    generators = _extreme_points(kept, n) if bounded else None
-    return VoronoiRegion(s, tuple(kept), generators)
+    closures = [D for _, D in _pieces(kept, S.n)]
+    bounded = bool(kept) and all(_bounded(D) for D in closures)
+    return VoronoiRegion(s, tuple(kept), _extreme_points(closures) if bounded else None)
 
 
 def classify(S: SiteSet, x: HPoint):
@@ -248,18 +242,16 @@ class DiagramCell:
     pieces: tuple
 
 
-def _site_halfspaces(S: SiteSet):
-    table = {}
-    for s in range(len(S)):
-        table[s] = [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)]
-    return table
+def _site_halfspaces(S: SiteSet, labels: Iterable[int]) -> dict:
+    """The halfspaces cutting out the region of each site in labels."""
+    return {s: [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)] for s in labels}
 
 
-def _cell_from_lists(n: int, label, hs_lists) -> DiagramCell:
-    halfspaces = [h for lst in hs_lists for h in lst]
-    pieces = _pieces(halfspaces, n)
-    dim = max((_piece_dim(n, p) for p in pieces), default=-1)
-    return DiagramCell(tuple(sorted(label)), dim, tuple(pieces))
+def _cell(n: int, label, hs_lists) -> tuple:
+    """The cell of a sorted label, and the closed matrix of each piece."""
+    pieces = _pieces([h for lst in hs_lists for h in lst], n)
+    dim = max((_dim(D) for _, D in pieces), default=-1)
+    return DiagramCell(label, dim, tuple(rows for rows, _ in pieces)), [D for _, D in pieces]
 
 
 def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
@@ -267,22 +259,14 @@ def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
     label = tuple(sorted(set(int(t) for t in T)))
     if not label or label[0] < 0 or label[-1] >= len(S):
         raise ValueError("label must be a nonempty subset of site indices")
-    table = {s: [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)] for s in label}
-    return _cell_from_lists(S.n, label, [table[s] for s in label])
+    table = _site_halfspaces(S, label)
+    return _cell(S.n, label, [table[s] for s in label])[0]
 
 
 @dataclass(frozen=True)
 class VoronoiDiagram:
     cells: tuple
     order: tuple  # (child, parent) index pairs, child cell strictly inside parent
-
-
-def _cell_inside_region(n: int, c: DiagramCell, hs_list) -> bool:
-    for piece in c.pieces:
-        for h in hs_list:
-            if not _piece_inside_halfspace(n, piece, h):
-                return False
-    return True
 
 
 def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Callable):
@@ -350,14 +334,15 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         raise ValueError("instance too large")
     n = S.n
     gp, _ = check_general_position(S)
-    table = _site_halfspaces(S)
+    table = _site_halfspaces(S, range(len(S)))
+    closures: dict = {}
 
     def probe(label) -> Optional[DiagramCell]:
-        c = _cell_from_lists(n, label, [table[s] for s in label])
+        c, closures[label] = _cell(n, label, [table[s] for s in label])
         return c if c.dim >= 0 else None
 
     def contains(c: DiagramCell, s: int) -> bool:
-        return _cell_inside_region(n, c, table[s])
+        return all(_inside(D, h) for D in closures[c.label] for h in table[s])
 
     return VoronoiDiagram(*label_lattice(len(S), gp, n, probe, contains))
 

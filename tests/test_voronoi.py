@@ -4,11 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropvor._lp import (
+    INT_RING,
+    UNBOUNDED,
+    SingularSystemError,
+    lp_affine_dim,
+    lp_cramer,
+    lp_feasible,
+    lp_solve,
+    lp_strictly_feasible,
+)
 from tropvor.sites import LatticeWindow, SiteSet, check_general_position, lattice_points
 from tropvor.tropcore import (
     HPoint,
@@ -16,10 +27,16 @@ from tropvor.tropcore import (
     asym_distance,
     halfspace_contains,
     halfspace_from_pair,
+    tconv_membership,
 )
 from tropvor.voronoi import (
     DiagramCell,
     VoronoiRegion,
+    _bounded,
+    _close,
+    _difference_row,
+    _dim,
+    _free,
     cell,
     classify,
     diagram_to_json,
@@ -411,3 +428,96 @@ def test_pair_regions_partition_grid(data):
         assert region_contains(r0, x) == (0 in D)
         assert region_contains(r1, x) == (1 in D)
         assert region_contains(r0, x) or region_contains(r1, x)
+
+
+# ---------------------------------------------------------------------------
+# the difference-bound kernel against the LP kernel it replaced
+
+
+@st.composite
+def difference_systems(draw):
+    """(n, weak edges, strict edges); an edge (p, q, r) bounds x_p - x_q by r.
+    Reversed copies of some weak edges make equalities, hence zero cycles."""
+    n = draw(st.integers(2, 5))
+    bound = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), bound).filter(lambda e: e[0] != e[1])
+    weak = draw(st.lists(edge, max_size=8))
+    if weak:
+        weak += [(q, p, -r) for p, q, r in draw(st.lists(st.sampled_from(weak), max_size=2))]
+    return n, weak, draw(st.lists(edge, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(difference_systems())
+def test_closure_decides_like_the_lp_kernel(system):
+    n, weak, strict = system
+    ones = [([1] * n, 0)]
+    weak_rows = [_difference_row(n, *e) for e in weak]
+    strict_rows = [_difference_row(n, *e) for e in strict]
+    D = _close(_free(n), weak, 1)
+    assert (D is not None) == (lp_feasible(n, ones, weak_rows, INT_RING) is not None)
+    E = _close(D, strict, 0)
+    assert (E is not None) == lp_strictly_feasible(n, ones, strict_rows, weak_rows, INT_RING)
+    if D is None:
+        return
+    assert _dim(D) == lp_affine_dim(n, ones, weak_rows, INT_RING)
+    unbounded = any(
+        lp_solve(n, ones, weak_rows, [sgn * (i == k) for i in range(n)], INT_RING).status == UNBOUNDED
+        for k in range(n)
+        for sgn in (1, -1)
+    )
+    assert _bounded(D) == (not unbounded)
+
+
+def reference_generators(r: VoronoiRegion) -> tuple:
+    """Extreme points of a bounded region from the term-equality hyperplanes:
+    every point of H on n - 1 of them (Cramer solves), kept when in the
+    region and outside the tropical hull of the other such points; sorted."""
+    n = r.n
+    pool = set()
+    for h in r.halfspaces:
+        terms = list(zip(h.I, h.c)) + list(zip(h.J, h.d))
+        for (p, alpha), (q, beta) in combinations(terms, 2):
+            if p > q:
+                p, q, alpha, beta = q, p, beta, alpha
+            pool.add((p, q, beta - alpha))
+    seen = set()
+    for planes in combinations(sorted(pool), n - 1):
+        rows = [(*a, b) for a, b in (_difference_row(n, *plane) for plane in planes)]
+        try:
+            nums, den = lp_cramer(rows + [(*([1] * n), 0)], INT_RING)
+        except SingularSystemError:
+            continue
+        seen.add(tuple(Fraction(num, den) for num in nums))
+    members = [HPoint(pt) for pt in sorted(seen) if region_contains(r, HPoint(pt))]
+    if len(members) <= 1:
+        return tuple(members)
+    return tuple(g for g in members if not tconv_membership(g, [c for c in members if c != g]))
+
+
+def seeded_windows():
+    """Sufficient radius-3 windows of random integer bases in n = 3."""
+    out = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        while True:
+            rows = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]
+            if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+                break
+        S, report = lattice_points(LatticeWindow([H(a, b, -a - b) for a, b in rows], 3))
+        if report.sufficient:
+            out.append(S)
+    return out
+
+
+def test_region_generators_match_the_term_hyperplane_reference():
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    A2r1, _ = lattice_points(LatticeWindow([H(1, -1, 0), H(0, 1, -1)], 1))
+    # the six roots alone leave the region unbounded along (1, 1, -2)
+    assert region(A2r1, 0).generators is None
+    windows = [L2, a2_window(2)] + seeded_windows()
+    assert len(windows) >= 7
+    for S in windows:
+        r = region(S, 0)
+        assert r.bounded
+        assert r.generators == reference_generators(r)
