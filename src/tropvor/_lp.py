@@ -10,7 +10,7 @@ The same two-phase primal simplex runs over two rings:
 Pivoting is fraction-free (integer-preserving): the tableau holds ring
 elements and a running denominator d, the true tableau being T/d.  Each pivot
 divides by the previous pivot, and that division is exact because every entry
-is a minor of the original matrix.  No gcd computation ever happens.  The
+is a minor of the original matrix.  Pivoting never computes a gcd.  The
 same elimination (Bareiss) gives ranks, determinants and Cramer solves over
 either ring; it is the package's only exact elimination routine.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,9 @@ def zp_exact_div(a: ZPoly, b: ZPoly) -> ZPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
+    if b == {0: 1}:
+        # the first pivot of every fraction-free elimination divides by one
+        return dict(a)
     q: ZPoly = {}
     r = dict(a)
     db = max(b)
@@ -112,6 +116,42 @@ def zp_exact_div(a: ZPoly, b: ZPoly) -> ZPoly:
             else:
                 r.pop(ne, None)
     return q
+
+
+def zp_content(p: ZPoly) -> int:
+    """The gcd of the coefficients of p (0 for the zero polynomial)."""
+    return gcd(*p.values())
+
+
+def _zp_primitive_part(p: ZPoly) -> ZPoly:
+    g = zp_content(p)
+    return {e: c // g for e, c in p.items()}
+
+
+def zp_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
+    """A gcd of two nonzero polynomials in Z[t], primitive, so that it
+    divides both exactly in Z[t] (Gauss's lemma).
+
+    The t-power part is min(ord a, ord b); the rest comes from a primitive
+    pseudo-remainder sequence.  The sign of the result is unspecified.
+    """
+    oa, ob = min(a), min(b)
+    shift = min(oa, ob)
+    a = _zp_primitive_part({e - oa: c for e, c in a.items()})
+    b = _zp_primitive_part({e - ob: c for e, c in b.items()})
+    if max(a) < max(b):
+        a, b = b, a
+    while max(b) > 0:
+        db = max(b)
+        lb = b[db]
+        while a and max(a) >= db:
+            da = max(a)
+            a = zp_sub(zp_mul(a, {0: lb}), zp_mul(b, {da - db: a[da]}))
+        if not a:
+            return {e + shift: c for e, c in b.items()}
+        a, b = b, _zp_primitive_part(a)
+    # a nonzero constant remainder: the gcd is a unit times t^shift
+    return {shift: 1}
 
 
 def zp_sign(p: ZPoly) -> int:

@@ -10,6 +10,11 @@ monic, hence eventually positive, the sign of f equals the sign of the leading
 coefficient of the numerator.  This makes RatFun a computable stand-in for
 series fields ordered at infinity.
 
+Lifted data is made of monomials t^k, so most denominators are monomials
+c t^k.  For those the gcd with the numerator is t^min(k, ord num): the
+constructor reduces by a shift and clear_ratfun_row clears by shifts, and
+neither runs the Euclidean gcd.
+
 Polynomials are dense coefficient tuples, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -164,10 +169,16 @@ class RatFun:
         if not num:
             den = (_ONE,)
         else:
-            g = _pgcd(num, den)
-            if _pdeg(g) > 0:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
+            if not any(den[:-1]):
+                # den = c t^k: the gcd is t^min(k, ord num), so reducing
+                # is a shift of both and needs no polynomial gcd
+                k = min(_pdeg(den), next(i for i, c in enumerate(num) if c))
+                num, den = num[k:], den[k:]
+            else:
+                g = _pgcd(num, den)
+                if _pdeg(g) > 0:
+                    num = _pdivmod(num, g)[0]
+                    den = _pdivmod(den, g)[0]
             # monic denominator: sign inspection reduces to the numerator
             lc = den[-1]
             if lc != 1:
@@ -331,8 +342,18 @@ def clear_ratfun_row(values: Sequence[RatFun]) -> tuple:
 
     The factor, the product of the (monic) denominators times the lcm of the
     coefficient denominators, is positive in the field, so every sign and
-    every kernel is unchanged.
+    every kernel is unchanged.  When every denominator is a monomial t^k_i,
+    the product is t^K with K = sum(k_i), and the cleared entry is the
+    numerator shifted by K - k_i.
     """
+    if all(not any(v.den[:-1]) for v in values):
+        ks = [_pdeg(v.den) for v in values]
+        K = sum(ks)
+        m = lcm(*(co.denominator for v in values for co in v.num))
+        return tuple(
+            {e + K - k: int(co * m) for e, co in enumerate(v.num) if co}
+            for v, k in zip(values, ks)
+        )
     full = RF_ONE
     for v in values:
         full = full * RatFun(v.den)

@@ -41,6 +41,9 @@ from ._lp import (
     lp_rank,
     lp_strictly_feasible,
     zp_add,
+    zp_content,
+    zp_exact_div,
+    zp_gcd,
     zp_mul,
     zp_neg,
     zp_sign,
@@ -199,15 +202,35 @@ def _kernel_direction(rows, n) -> Optional[list]:
     return d if any(d) else None
 
 
-def _primitive(d: Sequence[RatFun]) -> tuple:
-    """Canonical representative of the ray through d: last nonzero coordinate
-    scaled to 1, denominators cleared, integer content removed."""
-    last = next(i for i in reversed(range(len(d))) if not d[i].is_zero())
-    polys = clear_ratfun_row([c / d[last] for c in d])
-    g = gcd(*(co for p in polys for co in p.values()))
-    if g > 1:
-        polys = [{e: co // g for e, co in p.items()} for p in polys]
-    return tuple(ratfun_of_zpoly(p) for p in polys)
+def _primitive(d: Sequence[ZPoly]) -> tuple:
+    """Canonical representative of the ray through the nonzero direction d.
+
+    It is d/d_last with denominators cleared, d_last being the last nonzero
+    coordinate: with g_j a gcd of d_j and d_last (j != last, d_j != 0), the
+    product of the d_last/g_j clears every d_j/d_last.  Integer content is
+    removed and the result is a positive multiple of d.
+    """
+    last = max(i for i, p in enumerate(d) if p)
+    dl = d[last]
+    parts = {}
+    for j, p in enumerate(d):
+        if p and j != last:
+            g = zp_gcd(p, dl)
+            parts[j] = (zp_exact_div(p, g), zp_exact_div(dl, g))
+    out = []
+    for i, p in enumerate(d):
+        if not p:
+            out.append({})
+            continue
+        acc = parts[i][0] if i != last else {0: 1}
+        for j, (_, q) in parts.items():
+            if j != i:
+                acc = zp_mul(acc, q)
+        out.append(acc)
+    g = gcd(*(zp_content(p) for p in out))
+    if zp_sign(out[last]) != zp_sign(dl):
+        g = -g
+    return tuple(ratfun_of_zpoly({e: c // g for e, c in p.items()}) for p in out)
 
 
 def of_polyhedron_generators(P: OFPolyhedron):
@@ -260,14 +283,7 @@ def of_polyhedron_generators(P: OFPolyhedron):
             d = [zp_neg(p) for p in d]
         elif not fwd:
             continue
-        rf = [ratfun_of_zpoly(p) for p in d]
-        can = list(_primitive(rf))
-        # _primitive scales the last nonzero coordinate to +1, which flips
-        # the ray when that coordinate was negative; undo the flip.
-        last = next(i for i in reversed(range(n)) if not rf[i].is_zero())
-        if rf[last].sign() < 0:
-            can = [-c for c in can]
-        key = tuple(can)
+        key = _primitive(d)
         if key not in seen_rays:
             seen_rays.add(key)
             rays.append(key)

@@ -2,6 +2,7 @@
 field axioms and valuation laws on random samples."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,12 @@ from hypothesis import strategies as st
 
 from tropvor.exactnum import (
     PoleError,
+    _pdivmod,
+    _pfrom,
+    _pgcd,
+    _pmul,
+    _pscale,
+    clear_ratfun_row,
     RatFun,
     RF_ONE,
     RF_ZERO,
@@ -162,3 +169,52 @@ def test_sign_stable_beyond_threshold(f, bump):
     value, _ = of_eval_at(f, t0)
     assert (value > 0) == (f.sign() > 0)
     assert (value < 0) == (f.sign() < 0)
+
+
+# ---------------------------------------------------------------------------
+# monomial denominators, against the general reduction
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+monomial_dens = st.tuples(st.integers(0, 5), fracs.filter(lambda c: c != 0)).map(
+    lambda kc: [0] * kc[0] + [kc[1]]
+)
+
+
+def reduce_by_gcd(num, den):
+    """Reference normal form: divide by the Euclidean gcd, then make the
+    denominator monic."""
+    num, den = _pfrom(num), _pfrom(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = _pgcd(num, den)
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    return _pscale(num, 1 / den[-1]), _pscale(den, 1 / den[-1])
+
+
+@given(st.lists(fracs, max_size=6), monomial_dens)
+@settings(max_examples=300, deadline=None)
+def test_monomial_denominator_matches_the_gcd_reduction(num, den):
+    f = RatFun(num, den)
+    assert (f.num, f.den) == reduce_by_gcd(num, den)
+
+
+def clear_by_denominator_product(values):
+    """Reference clearing: multiply every entry by the product of all the
+    denominators, then by the lcm of the coefficient denominators."""
+    full = (Fraction(1),)
+    for v in values:
+        full = _pmul(full, v.den)
+    cleared = []
+    for v in values:
+        q, r = _pdivmod(_pmul(v.num, full), v.den)
+        assert r == ()
+        cleared.append(q)
+    m = lcm(*(co.denominator for c in cleared for co in c))
+    return tuple({e: int(co * m) for e, co in enumerate(c) if co} for c in cleared)
+
+
+@given(st.lists(st.tuples(st.lists(fracs, max_size=5), monomial_dens), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_clear_monomial_row_matches_the_denominator_product(entries):
+    values = [RatFun(num, den) for num, den in entries]
+    assert clear_ratfun_row(values) == clear_by_denominator_product(values)

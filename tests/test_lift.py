@@ -6,18 +6,20 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropvor._lp import ThresholdLedger
-from tropvor.exactnum import RF_ONE, RF_ZERO, RatFun, valstar
+from tropvor._lp import ThresholdLedger, zp_mul, zp_neg
+from tropvor.exactnum import RF_ONE, RF_ZERO, RatFun, clear_ratfun_row, ratfun_of_zpoly, valstar
 from tropvor.lift import (
     OFHalfspace,
     OFPolyhedron,
     OFVector,
+    _primitive,
     instantiate_lifts,
     lift_valstar,
     monomial_lift,
@@ -218,6 +220,55 @@ def test_generators_parametric_cone():
     assert [r.coords for r in rays] == [(RF_ZERO, RF_ONE), (T, RF_ONE)]
 
 
+def primitive_through_the_field(d):
+    """Reference ray representative: divide by the last nonzero coordinate as
+    rational functions, clear the denominators, remove the integer content,
+    and undo the flip that a negative last coordinate causes."""
+    rf = [ratfun_of_zpoly(p) for p in d]
+    last = max(i for i, c in enumerate(rf) if not c.is_zero())
+    polys = clear_ratfun_row([c / rf[last] for c in rf])
+    g = gcd(*(co for p in polys for co in p.values()))
+    can = tuple(ratfun_of_zpoly({e: co // g for e, co in p.items()}) for p in polys)
+    if rf[last].sign() < 0:
+        can = tuple(-c for c in can)
+    return can
+
+
+small_zpolys = st.lists(st.integers(-6, 6), max_size=3).map(
+    lambda cs: {e: c for e, c in enumerate(cs) if c}
+)
+# t, t^2, t - 1 and t + 1
+shared_factors = st.sampled_from([{1: 1}, {2: 1}, {0: -1, 1: 1}, {0: 1, 1: 1}])
+
+
+@st.composite
+def ray_directions(draw):
+    n = draw(st.integers(2, 5))
+    d = [draw(small_zpolys) for _ in range(n)]
+    for f in draw(st.lists(shared_factors, max_size=3)):
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=2)):
+            d[i] = zp_mul(d[i], f)
+    if draw(st.booleans()):
+        d[-1] = zp_neg(d[-1])
+    return d
+
+
+@given(ray_directions())
+@settings(max_examples=400, deadline=None)
+def test_primitive_matches_the_field_route(d):
+    if not any(d):
+        return
+    assert _primitive(d) == primitive_through_the_field(d)
+
+
+def test_primitive_keeps_the_orientation_off_the_orthant():
+    # last coordinate negative: the representative stays a positive multiple
+    # of d instead of scaling the last coordinate to +1
+    d = [{0: 2, 1: 2}, {}, {0: -4}]
+    assert _primitive(d) == (RatFun((1, 1)), RF_ZERO, RatFun.from_rat(-2))
+    assert _primitive(d) == primitive_through_the_field(d)
+
+
 def test_generators_size_caps():
     many = tuple(OFHalfspace(vec(RF_ONE, RF_ONE)) for _ in range(21))
     with pytest.raises(ValueError, match="size cap exceeded"):
@@ -335,6 +386,22 @@ def test_verify_lift_certificate_is_pinned(rows, bound, queries, samples):
     assert ledger.bound == bound
     assert ledger.queries <= queries
     assert rep["containment_samples"] == samples
+
+
+def test_certified_trio_generators_are_pinned():
+    # vertices and rays of every power region, in order, recorded before the
+    # ray normalisation moved from the field to Z[t]; each coordinate is the
+    # coefficient list of an integer polynomial
+    path = Path(__file__).parent / "data" / "certified_trio_generators.json"
+    golden = json.loads(path.read_text())
+    for (rows, *_), expected in zip(CERTIFIED_TRIOS, golden, strict=True):
+        S = sites(*rows)
+        scale = lcm(*(c.denominator for s in S for c in s.coords))
+        lifts = [monomial_lift(s, scale) for s in S]
+        for a, want in enumerate(expected):
+            verts, rays = of_polyhedron_generators(power_region(lifts, a))
+            for got, pinned in ((verts, want["vertices"]), (rays, want["rays"])):
+                assert [v.coords for v in got] == [tuple(RatFun(c) for c in v) for v in pinned]
 
 
 def test_verify_lift_canonical_relabelling_on_both_sides():

@@ -24,14 +24,16 @@ from tropvor._lp import (
     lp_solve,
     lp_strictly_feasible,
     zp_cauchy,
+    zp_content,
     zp_eval,
     zp_exact_div,
     zp_from_int,
+    zp_gcd,
     zp_mul,
     zp_sign,
     zp_sub,
 )
-from tropvor.exactnum import clear_rat_row
+from tropvor.exactnum import _pgcd, _pscale, clear_rat_row
 
 R = INT_RING
 
@@ -294,6 +296,35 @@ def test_zp_basics():
     assert zp_cauchy({0: 7}) == 1
     assert zp_cauchy({1: 2, 0: -10}) == 6
     assert zp_eval({2: 1, 0: -1}, Fraction(3, 2)) == Fraction(5, 4)
+
+
+def test_zp_exact_division_by_one_is_a_copy():
+    a = zp(3, 0, -2)
+    q = zp_exact_div(a, zp(1))
+    assert q == a
+    assert q is not a
+
+
+def monic_fraction_poly(p):
+    """The dense Fraction polynomial of exactnum for p, scaled to be monic."""
+    dense = tuple(Fraction(p.get(e, 0)) for e in range(max(p) + 1))
+    return _pscale(dense, 1 / dense[-1])
+
+
+@given(zpolys, zpolys, zpolys, st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_zp_gcd_matches_the_fraction_euclidean_gcd(a, b, c, k):
+    # inputs share the factor c t^k; the primitive gcd divides both exactly
+    # in Z[t] and is, up to a constant, the monic gcd over Q[t]
+    if not a or not b or not c:
+        return
+    c = {e + k: v for e, v in c.items()}
+    x, y = zp_mul(a, c), zp_mul(b, c)
+    g = zp_gcd(x, y)
+    assert zp_content(g) == 1
+    assert zp_mul(zp_exact_div(x, g), g) == x
+    assert zp_mul(zp_exact_div(y, g), g) == y
+    assert monic_fraction_poly(g) == _pgcd(monic_fraction_poly(x), monic_fraction_poly(y))
 
 
 # ---------------------------------------------------------------------------
