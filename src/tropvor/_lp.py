@@ -41,10 +41,6 @@ def zp_from_int(k: int) -> ZPoly:
     return {0: k} if k else {}
 
 
-def zp_is_zero(p: ZPoly) -> bool:
-    return not p
-
-
 def zp_add(a: ZPoly, b: ZPoly) -> ZPoly:
     out = dict(a)
     for e, c in b.items():
@@ -166,14 +162,8 @@ def zp_cauchy(p: ZPoly) -> Fraction:
         return Fraction(1)
     dmax = max(p)
     lead = abs(p[dmax])
-    m = Fraction(0)
-    for e, c in p.items():
-        if e == dmax:
-            continue
-        r = Fraction(abs(c), lead)
-        if r > m:
-            m = r
-    return Fraction(1) + m
+    m = max((abs(c) for e, c in p.items() if e != dmax), default=0)
+    return Fraction(lead + m, lead)
 
 
 def zp_eval(p: ZPoly, t0: Fraction) -> Fraction:

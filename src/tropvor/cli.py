@@ -79,7 +79,7 @@ def _parse_payload(data: dict):
 def _site_set(kind, payload, radius_override: Optional[int]) -> SiteSet:
     if kind == "lattice":
         basis, radius, n = payload
-        L = LatticeWindow(basis, radius_override or radius, n=n)
+        L = LatticeWindow(basis, radius if radius_override is None else radius_override, n=n)
         S, _ = lattice_points(L)
         return S
     if kind == "empty":

@@ -3,38 +3,43 @@
 Rationals are plain fractions.Fraction values: that type already stores every
 value gcd-reduced with a positive denominator and its arithmetic is exact.
 
-A RatFun is a quotient num/den of univariate polynomials in t with Fraction
-coefficients, stored reduced (no common factor) and with a monic denominator.
-The field is ordered by behavior as t -> +infinity: because the denominator is
-monic, hence eventually positive, the sign of f equals the sign of the leading
-coefficient of the numerator.  This makes RatFun a computable stand-in for
-series fields ordered at infinity.
+A RatFun is a quotient p/q of integer polynomials in t, in the sparse ZPoly
+form of the LP kernel ({exponent: nonzero int}).  It is stored in a canonical
+form: p and q are coprime, the integer content of p and q together is 1, and
+q has a positive leading coefficient.  Every field element has exactly one
+such pair, so equality and hashing compare p and q directly.  The field is
+ordered by behavior as t -> +infinity: because q is eventually positive, the
+sign of f equals the sign of the leading coefficient of p.  This makes RatFun
+a computable stand-in for series fields ordered at infinity.
 
-Lifted data is made of monomials t^k, so most denominators are monomials
-c t^k.  For those the gcd with the numerator is t^min(k, ord num): the
-constructor reduces by a shift and clear_ratfun_row clears by shifts, and
-neither runs the Euclidean gcd.
-
-Polynomials are dense coefficient tuples, lowest degree first, with no
-trailing zeros; the zero polynomial is the empty tuple.
+The num and den views give the same element as Fraction coefficient tuples,
+lowest degree first, with a monic denominator; serialization and repr go
+through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, lcm, prod
+from typing import Optional, Sequence, Union
 
 # SingularSystemError is re-exported: of_solve_linear raises it
-from ._lp import POLY_RING, SingularSystemError, ZPoly, lp_cramer
+from ._lp import (
+    POLY_RING,
+    SingularSystemError,
+    ZPoly,
+    lp_cramer,
+    zp_add,
+    zp_cauchy,
+    zp_eval,
+    zp_exact_div,
+    zp_gcd,
+    zp_mul,
+    zp_neg,
+    zp_sign,
+)
 
 Rat = Fraction
-
-Poly = tuple  # tuple of Fraction, lowest degree first, no trailing zeros
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class PoleError(ValueError):
@@ -51,178 +56,98 @@ def rat_from_str(s: str) -> Rat:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (internal)
-
-def _pnorm(coeffs: Iterable[Fraction]) -> Poly:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _pdeg(p: Poly) -> int:
-    # degree of the zero polynomial is -1 by convention here
-    return len(p) - 1
-
-
-def _padd(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _pnorm(out)
-
-
-def _pneg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def _psub(p: Poly, q: Poly) -> Poly:
-    return _padd(p, _pneg(q))
-
-
-def _pmul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _pnorm(out)
-
-
-def _pscale(p: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
-
-
-def _pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    qd, qlc = _pdeg(q), q[-1]
-    quo = [_ZERO] * max(len(p) - len(q) + 1, 0)
-    for k in range(len(rem) - len(q), -1, -1):
-        c = rem[k + qd] / qlc
-        if c == 0:
-            continue
-        quo[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] -= c * b
-    return _pnorm(quo), _pnorm(rem)
-
-
-def _pgcd(p: Poly, q: Poly) -> Poly:
-    # Euclidean algorithm; result is monic (or the zero polynomial).
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
-    if not p:
-        return ()
-    return _pscale(p, 1 / p[-1])
-
-
-def _peval(p: Poly, t0: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * t0 + c
-    return acc
-
-
-def _pcauchy(p: Poly) -> Fraction:
-    """Cauchy bound: every real root of p has absolute value below this."""
-    if not p:
-        return _ONE
-    lead = abs(p[-1])
-    m = _ZERO
-    for c in p[:-1]:
-        r = abs(c) / lead
-        if r > m:
-            m = r
-    return _ONE + m
-
-
-def _pfrom(obj: Union[int, Fraction, Sequence]) -> Poly:
-    if isinstance(obj, (int, Fraction)):
-        return _pnorm([Fraction(obj)])
-    return _pnorm(Fraction(c) for c in obj)
-
-
-# ---------------------------------------------------------------------------
 # the ordered field
 
-@dataclass(frozen=True)
+def _zpoly(obj) -> tuple:
+    """(a, m) with obj = a/m, a a ZPoly and m a positive integer, for a ZPoly,
+    a scalar, or a dense coefficient sequence (lowest degree first)."""
+    if isinstance(obj, dict):
+        return obj, 1
+    if isinstance(obj, int):
+        return ({0: obj} if obj else {}), 1
+    cs = [Fraction(c) for c in ((obj,) if isinstance(obj, Fraction) else obj)]
+    m = lcm(*(c.denominator for c in cs))
+    return {e: c.numerator * (m // c.denominator) for e, c in enumerate(cs) if c}, m
+
+
 class RatFun:
-    """A reduced rational function num/den with monic denominator."""
+    """A rational function p/q in canonical form (see the module docstring).
 
-    num: Poly
-    den: Poly
+    The constructor takes the numerator and the denominator as ZPolys,
+    scalars or dense coefficient sequences, and reduces them.
+    """
 
-    def __init__(self, num=(1,), den=(1,)):
-        num = _pfrom(num)
-        den = _pfrom(den)
-        if not den:
+    __slots__ = ("p", "q")
+
+    def __init__(self, num=1, den=1):
+        p, mp = _zpoly(num)
+        q, mq = _zpoly(den)
+        if not q:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = (_ONE,)
+        if not p:
+            q = {0: 1}
         else:
-            if not any(den[:-1]):
-                # den = c t^k: the gcd is t^min(k, ord num), so reducing
-                # is a shift of both and needs no polynomial gcd
-                k = min(_pdeg(den), next(i for i, c in enumerate(num) if c))
-                num, den = num[k:], den[k:]
-            else:
-                g = _pgcd(num, den)
-                if _pdeg(g) > 0:
-                    num = _pdivmod(num, g)[0]
-                    den = _pdivmod(den, g)[0]
-            # monic denominator: sign inspection reduces to the numerator
-            lc = den[-1]
-            if lc != 1:
-                num = _pscale(num, 1 / lc)
-                den = _pscale(den, 1 / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            if mp != mq:
+                p = {e: c * mq for e, c in p.items()}
+                q = {e: c * mp for e, c in q.items()}
+            g = zp_gcd(p, q)
+            if g != {0: 1}:
+                p, q = zp_exact_div(p, g), zp_exact_div(q, g)
+            c = gcd(*p.values(), *q.values())
+            if q[max(q)] < 0:
+                c = -c
+            if c != 1:
+                p = {e: v // c for e, v in p.items()}
+                q = {e: v // c for e, v in q.items()}
+        self.p: ZPoly = p
+        self.q: ZPoly = q
 
     # --- constructors
 
     @staticmethod
     def from_rat(x: Union[int, Fraction]) -> "RatFun":
-        return RatFun((Fraction(x),), (_ONE,))
+        return RatFun(x)
 
     @staticmethod
     def t_power(k: int) -> "RatFun":
         """The monomial t**k, for any integer k."""
-        if k >= 0:
-            return RatFun(tuple([_ZERO] * k + [_ONE]), (_ONE,))
-        return RatFun((_ONE,), tuple([_ZERO] * (-k) + [_ONE]))
+        return RatFun({k: 1}) if k >= 0 else RatFun({0: 1}, {-k: 1})
+
+    # --- dense views, with the denominator made monic
+
+    def _dense(self, a: ZPoly) -> tuple:
+        lc = self.q[max(self.q)]
+        return tuple(Fraction(a.get(e, 0), lc) for e in range(max(a) + 1)) if a else ()
+
+    @property
+    def num(self) -> tuple:
+        return self._dense(self.p)
+
+    @property
+    def den(self) -> tuple:
+        return self._dense(self.q)
 
     # --- predicates and sign
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.p
 
     def sign(self) -> int:
-        if not self.num:
-            return 0
-        return 1 if self.num[-1] > 0 else -1
+        return zp_sign(self.p)
 
     # --- arithmetic (exact, always reduced)
 
     def __add__(self, other: "RatFun") -> "RatFun":
         other = _coerce(other)
         return RatFun(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
+            zp_add(zp_mul(self.p, other.q), zp_mul(other.p, self.q)),
+            zp_mul(self.q, other.q),
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return RatFun(_pneg(self.num), self.den)
+        return RatFun(zp_neg(self.p), self.q)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-_coerce(other))
@@ -232,7 +157,7 @@ class RatFun:
 
     def __mul__(self, other: "RatFun") -> "RatFun":
         other = _coerce(other)
-        return RatFun(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return RatFun(zp_mul(self.p, other.p), zp_mul(self.q, other.q))
 
     __rmul__ = __mul__
 
@@ -240,10 +165,20 @@ class RatFun:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return RatFun(zp_mul(self.p, other.q), zp_mul(self.q, other.p))
 
     def __rtruediv__(self, other) -> "RatFun":
         return _coerce(other) / self
+
+    # --- equality on the canonical form
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatFun):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.p.items()), frozenset(self.q.items())))
 
     # --- order (total, compatible with the field operations)
 
@@ -288,7 +223,7 @@ def valstar(f: RatFun, scale: int = 1) -> Optional[Rat]:
     """
     if f.is_zero():
         return None
-    return Fraction(_pdeg(f.num) - _pdeg(f.den), scale)
+    return Fraction(max(f.p) - max(f.q), scale)
 
 
 def sign_threshold(f: RatFun) -> Rat:
@@ -297,7 +232,7 @@ def sign_threshold(f: RatFun) -> Rat:
     Cauchy root bounds of numerator and denominator: beyond both, each factor
     carries the sign of its leading coefficient.
     """
-    return max(_pcauchy(f.num), _pcauchy(f.den))
+    return max(zp_cauchy(f.p), zp_cauchy(f.q))
 
 
 def of_eval_at(f: RatFun, t0: Rat) -> tuple[Rat, Rat]:
@@ -306,10 +241,10 @@ def of_eval_at(f: RatFun, t0: Rat) -> tuple[Rat, Rat]:
     For every rational t0 > tau(f), sign(f(t0)) = sign(f).
     """
     t0 = Fraction(t0)
-    d = _peval(f.den, t0)
+    d = zp_eval(f.q, t0)
     if d == 0:
         raise PoleError(f"pole at t0 = {t0}")
-    return _peval(f.num, t0) / d, sign_threshold(f)
+    return zp_eval(f.p, t0) / d, sign_threshold(f)
 
 
 def of_solve_linear(A: Sequence[Sequence[RatFun]], b: Sequence[RatFun]) -> list[RatFun]:
@@ -324,7 +259,7 @@ def of_solve_linear(A: Sequence[Sequence[RatFun]], b: Sequence[RatFun]) -> list[
         raise ValueError("A must be square with matching b")
     rows = [clear_ratfun_row(list(row) + [rhs]) for row, rhs in zip(A, b)]
     nums, den = lp_cramer(rows, POLY_RING)
-    return [ratfun_of_zpoly(num) / ratfun_of_zpoly(den) for num in nums]
+    return [RatFun(num, den) for num in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -340,31 +275,27 @@ def clear_rat_row(values: Sequence[Rat]) -> tuple:
 def clear_ratfun_row(values: Sequence[RatFun]) -> tuple:
     """Integer-polynomial row proportional to a row of rational functions.
 
-    The factor, the product of the (monic) denominators times the lcm of the
-    coefficient denominators, is positive in the field, so every sign and
-    every kernel is unchanged.  When every denominator is a monomial t^k_i,
-    the product is t^K with K = sum(k_i), and the cleared entry is the
-    numerator shifted by K - k_i.
+    Entry i is p_i times every other denominator q_j, divided by gcd(L, G):
+    L is the product of the leading coefficients of the q_j and G the gcd of
+    every coefficient in the row.  That is the row times the product of the
+    monic denominators, cleared by the lcm of its coefficient denominators.
+    The factor is positive in the field, so every sign and every kernel is
+    unchanged.
     """
-    if all(not any(v.den[:-1]) for v in values):
-        ks = [_pdeg(v.den) for v in values]
-        K = sum(ks)
-        m = lcm(*(co.denominator for v in values for co in v.num))
-        return tuple(
-            {e + K - k: int(co * m) for e, co in enumerate(v.num) if co}
-            for v, k in zip(values, ks)
-        )
-    full = RF_ONE
-    for v in values:
-        full = full * RatFun(v.den)
-    cleared = [v * full for v in values]
-    m = lcm(*(co.denominator for c in cleared for co in c.num))
-    return tuple({e: int(co * m) for e, co in enumerate(c.num) if co} for c in cleared)
+    row = []
+    for i, v in enumerate(values):
+        acc = v.p
+        for j, w in enumerate(values):
+            if j != i and acc:
+                acc = zp_mul(acc, w.q)
+        row.append(acc)
+    g = gcd(prod(v.q[max(v.q)] for v in values), *(c for a in row for c in a.values()))
+    return tuple({e: c // g for e, c in a.items()} for a in row)
 
 
 def ratfun_of_zpoly(p: ZPoly) -> RatFun:
     """The integer polynomial p as a rational function."""
-    return RatFun([p.get(e, 0) for e in range(max(p) + 1)]) if p else RF_ZERO
+    return RatFun(p)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,12 @@ def test_radius_override(tmp_path):
     assert len(json.loads(text)["halfspaces"]) == 2
 
 
+def test_radius_override_zero_is_rejected(tmp_path, capsys):
+    code, _ = run(tmp_path, "region", L2_LATTICE, "--radius", "0")
+    assert code == 3
+    assert "radius must be positive" in capsys.readouterr().err
+
+
 def test_rank_deficient_basis_is_a_precondition_failure(tmp_path):
     bad = {"n": 3, "basis": [["1", "-1", "0"], ["2", "-2", "0"]], "radius": 2}
     code, _ = run(tmp_path, "region", bad)

@@ -8,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_ratfun import DenseRatFun, dense_sign_threshold, pdivmod, pfrom, pgcd, pmul, pscale
 from tropvor.exactnum import (
     PoleError,
-    _pdivmod,
-    _pfrom,
-    _pgcd,
-    _pmul,
-    _pscale,
     clear_ratfun_row,
     RatFun,
     RF_ONE,
@@ -183,12 +179,12 @@ monomial_dens = st.tuples(st.integers(0, 5), fracs.filter(lambda c: c != 0)).map
 def reduce_by_gcd(num, den):
     """Reference normal form: divide by the Euclidean gcd, then make the
     denominator monic."""
-    num, den = _pfrom(num), _pfrom(den)
+    num, den = pfrom(num), pfrom(den)
     if not num:
         return (), (Fraction(1),)
-    g = _pgcd(num, den)
-    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-    return _pscale(num, 1 / den[-1]), _pscale(den, 1 / den[-1])
+    g = pgcd(num, den)
+    num, den = pdivmod(num, g)[0], pdivmod(den, g)[0]
+    return pscale(num, 1 / den[-1]), pscale(den, 1 / den[-1])
 
 
 @given(st.lists(fracs, max_size=6), monomial_dens)
@@ -203,18 +199,58 @@ def clear_by_denominator_product(values):
     denominators, then by the lcm of the coefficient denominators."""
     full = (Fraction(1),)
     for v in values:
-        full = _pmul(full, v.den)
+        full = pmul(full, v.den)
     cleared = []
     for v in values:
-        q, r = _pdivmod(_pmul(v.num, full), v.den)
+        q, r = pdivmod(pmul(v.num, full), v.den)
         assert r == ()
         cleared.append(q)
     m = lcm(*(co.denominator for c in cleared for co in c))
     return tuple({e: int(co * m) for e, co in enumerate(c) if co} for c in cleared)
 
 
-@given(st.lists(st.tuples(st.lists(fracs, max_size=5), monomial_dens), min_size=1, max_size=5))
-@settings(max_examples=150, deadline=None)
+general_dens = st.lists(fracs, min_size=1, max_size=4).filter(any)
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(fracs, max_size=5), monomial_dens | general_dens),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=200, deadline=None)
 def test_clear_monomial_row_matches_the_denominator_product(entries):
+    # monomial denominators c t^k and general ones share one clearing path
     values = [RatFun(num, den) for num, den in entries]
     assert clear_ratfun_row(values) == clear_by_denominator_product(values)
+
+
+# ---------------------------------------------------------------------------
+# the integer-polynomial field against the dense Fraction reference
+
+def dense_view(f):
+    return (f.num, f.den, ratfun_to_json(f), f.sign(), sign_threshold(f))
+
+
+def reference_view(r):
+    return (r.num, r.den, ratfun_to_json(r), r.sign(), dense_sign_threshold(r))
+
+
+@given(st.tuples(st.lists(fracs, max_size=5), general_dens), st.tuples(st.lists(fracs, max_size=5), general_dens))
+@settings(max_examples=200, deadline=None)
+def test_ratfun_matches_the_dense_fraction_reference(a, b):
+    f, g = RatFun(*a), RatFun(*b)
+    rf_, rg = DenseRatFun(*a), DenseRatFun(*b)
+    assert dense_view(f) == reference_view(rf_)
+    assert repr(f) == f"RatFun({list(rf_.num)!r}, {list(rf_.den)!r})"
+    pairs = [(f + g, rf_ + rg), (f - g, rf_ - rg), (f * g, rf_ * rg)]
+    if not g.is_zero():
+        pairs.append((f / g, rf_ / rg))
+    for got, want in pairs:
+        assert dense_view(got) == reference_view(want)
+    # one canonical form: the same value by another route is equal and
+    # hashes equal, so sets of rays and points deduplicate
+    again = RatFun(list(f.num), list(f.den)) if g.is_zero() else (f * g) / g
+    assert again == f and hash(again) == hash(f)
+    assert len({f, again, f + g - g}) == 1

@@ -33,7 +33,8 @@ from tropvor._lp import (
     zp_sign,
     zp_sub,
 )
-from tropvor.exactnum import _pgcd, _pscale, clear_rat_row
+from dense_ratfun import pgcd, pscale
+from tropvor.exactnum import clear_rat_row
 
 R = INT_RING
 
@@ -306,9 +307,9 @@ def test_zp_exact_division_by_one_is_a_copy():
 
 
 def monic_fraction_poly(p):
-    """The dense Fraction polynomial of exactnum for p, scaled to be monic."""
+    """The dense Fraction polynomial of p, scaled to be monic."""
     dense = tuple(Fraction(p.get(e, 0)) for e in range(max(p) + 1))
-    return _pscale(dense, 1 / dense[-1])
+    return pscale(dense, 1 / dense[-1])
 
 
 @given(zpolys, zpolys, zpolys, st.integers(0, 3))
@@ -324,7 +325,7 @@ def test_zp_gcd_matches_the_fraction_euclidean_gcd(a, b, c, k):
     assert zp_content(g) == 1
     assert zp_mul(zp_exact_div(x, g), g) == x
     assert zp_mul(zp_exact_div(y, g), g) == y
-    assert monic_fraction_poly(g) == _pgcd(monic_fraction_poly(x), monic_fraction_poly(y))
+    assert monic_fraction_poly(g) == pgcd(monic_fraction_poly(x), monic_fraction_poly(y))
 
 
 # ---------------------------------------------------------------------------
