@@ -3,9 +3,12 @@
 Two regions are adjacent when their common cell has codimension at most one
 inside H, the only ambient space where regions are full-dimensional.  The
 Delone complex is literally the clique complex of that graph.  On the lifted
-side, the bounded faces of conv(t^{-s}) + orthant form the hull complex; for
-sufficiently generic integer sites the two complexes agree facet by facet,
-and scarf_check tests exactly that.
+side, the bounded faces of conv(t^{-s}) + orthant form the hull complex; its
+facets are the maximal canonical labels of the cells of the farthest power
+diagram of the lifts.  scarf_check compares it with the nerve of the
+tropical diagram, whose facets are the maximal canonical labels of the
+Voronoi cells; for sufficiently generic integer sites the two agree facet by
+facet.
 
 Window truncation matters: a site whose region is unbounded within the given
 finite set would acquire more constraints from a larger window, so such sites
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._lp import PolyRing, ZPoly, lp_strictly_feasible, zp_neg
-from .sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet
-from .voronoi import cell, region
+from .lift import _power_walk, monomial_lift
+from .sites import SITE_CAP, SiteSet
+from .voronoi import cell, region, voronoi_diagram
 
 
 @dataclass(frozen=True)
@@ -106,67 +109,27 @@ def delone_complex(S: SiteSet) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 # hull complex over the ordered field
 
-def _lift_rows(S: SiteSet):
-    """Rows (in variables nu_1..nu_n, c) stating <nu, t^{-s}> - c = 0, one per
-    site, cleared to polynomial entries by a positive power of t."""
-    rows = []
-    for s in S:
-        m = max(0, max(int(c) for c in s.coords))
-        coeffs = [{m - int(c): 1} for c in s.coords]
-        coeffs.append({m: -1})
-        rows.append(tuple(coeffs))
-    return rows
-
-
-def _support_feasible(rows, F, exact: bool, nvars: int, ring) -> bool:
-    """Is there a strictly positive normal whose support plane through the
-    sites of F keeps every other site (weakly, or strictly when exact) above?"""
-    zero: ZPoly = ring.zero
-    eqs = [(rows[i], zero) for i in F]
-    others = [(tuple(map(zp_neg, rows[i])), zero) for i in range(len(rows)) if i not in F]
-    strict = []
-    for k in range(nvars - 1):
-        coeffs = [zero] * nvars
-        coeffs[k] = {0: -1}
-        strict.append((tuple(coeffs), zero))
-    if exact:
-        strict += others
-        weak = []
-    else:
-        weak = others
-    return lp_strictly_feasible(nvars, eqs, strict, weak, ring)
+def _maximal(labels) -> list:
+    """The labels inside no other label: the facets of the complex whose
+    faces are the labels and their subsets."""
+    sets = [set(label) for label in labels]
+    return [label for label, a in zip(labels, sets) if not any(a < b for b in sets)]
 
 
 def hull_complex(S: SiteSet) -> SimplicialComplex:
     """Maximal bounded faces of conv of the lifted sites plus the orthant.
 
     A subset F labels a bounded face exactly when some strictly positive
-    normal attains its minimum over the lifted sites precisely on F.  Pairs
-    on no common supporting plane prune the subset search.
+    normal x attains the minimum of <t^(-s), x> over the sites precisely on
+    F.  The minimizers at x are the canonical label of the cell of x in the
+    farthest power diagram of the lifts t^(-s), so the facets are the
+    maximal canonical labels of its cells, read off the lifted label-lattice
+    walk without computing any dimension.
     """
-    if len(S) > LIFT_CAP or S.n > DIM_CAP:
-        raise ValueError("size cap exceeded")
     if any(c.denominator != 1 for s in S for c in s.coords):
         raise ValueError("non-integer sites")
-    rows = _lift_rows(S)
-    nvars = S.n + 1
-    ring = PolyRing()
-
-    supported = {
-        (i, j)
-        for i, j in combinations(range(len(S)), 2)
-        if _support_feasible(rows, (i, j), False, nvars, ring)
-    }
-    facets: list = []
-    for size in range(len(S), 0, -1):
-        for F in combinations(range(len(S)), size):
-            if any(p not in supported for p in combinations(F, 2)):
-                continue
-            if any(set(F) <= set(G) for G in facets):
-                continue
-            if _support_feasible(rows, F, True, nvars, ring):
-                facets.append(F)
-    return SimplicialComplex(tuple(range(len(S))), facets)
+    labels, _, _ = _power_walk([monomial_lift(s) for s in S])
+    return SimplicialComplex(range(len(S)), _maximal(labels))
 
 
 def sufficiently_generic(S: SiteSet):
@@ -185,8 +148,12 @@ def sufficiently_generic(S: SiteSet):
 
 
 def scarf_check(S: SiteSet) -> bool:
-    """Do the Delone complex and the hull complex list the same facets?"""
+    """Do the nerve of the Voronoi diagram and the hull complex list the same
+    facets?  The nerve's faces are the canonical cell labels of
+    voronoi_diagram(S): a set of sites is a face exactly when their regions
+    share a point."""
     ok, _ = sufficiently_generic(S)
     if not ok:
         raise ValueError("precondition: genericity")
-    return delone_complex(S).facets == hull_complex(S).facets
+    nerve = SimplicialComplex(range(len(S)), _maximal([c.label for c in voronoi_diagram(S).cells]))
+    return nerve.facets == hull_complex(S).facets

@@ -37,6 +37,7 @@ from ._lp import (
     zp_mul,
     zp_neg,
     zp_sign,
+    zp_sub,
 )
 
 Rat = Fraction
@@ -150,10 +151,14 @@ class RatFun:
         return RatFun(zp_neg(self.p), self.q)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        return RatFun(
+            zp_sub(zp_mul(self.p, other.q), zp_mul(other.p, self.q)),
+            zp_mul(self.q, other.q),
+        )
 
     def __rsub__(self, other) -> "RatFun":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other: "RatFun") -> "RatFun":
         other = _coerce(other)
@@ -183,16 +188,16 @@ class RatFun:
     # --- order (total, compatible with the field operations)
 
     def __lt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() < 0
+        return of_compare(self, _coerce(other)) < 0
 
     def __le__(self, other) -> bool:
-        return (self - _coerce(other)).sign() <= 0
+        return of_compare(self, _coerce(other)) <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() > 0
+        return of_compare(self, _coerce(other)) > 0
 
     def __ge__(self, other) -> bool:
-        return (self - _coerce(other)).sign() >= 0
+        return of_compare(self, _coerce(other)) >= 0
 
     def __repr__(self) -> str:
         return f"RatFun({list(self.num)!r}, {list(self.den)!r})"
@@ -211,8 +216,9 @@ RF_ONE = RatFun.from_rat(1)
 
 
 def of_compare(f: RatFun, g: RatFun) -> int:
-    """Order of f and g in the field: -1 (less), 0 (equal), or 1 (greater)."""
-    return (f - g).sign()
+    """Order of f and g in the field: -1 (less), 0 (equal), or 1 (greater),
+    the sign of p1 q2 - p2 q1, since q1 q2 has a positive leading coefficient."""
+    return zp_sign(zp_sub(zp_mul(f.p, g.q), zp_mul(g.p, f.q)))
 
 
 def valstar(f: RatFun, scale: int = 1) -> Optional[Rat]:

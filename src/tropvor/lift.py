@@ -323,17 +323,17 @@ def instantiate_lifts(lifts: Sequence[OFVector], t0: Rat) -> list:
     return out
 
 
-def power_diagram_poset(
-    lifts: Sequence[OFVector], ledger: Optional[ThresholdLedger] = None
-) -> PowerDiagram:
-    """All cells of the farthest power diagram with canonical labels.
+@dataclass(frozen=True)
+class _Walked:
+    """A nonempty power cell as the walk sees it: its label, no dimension."""
 
-    A label is kept when its cone meets the open orthant, where the leading
-    exponents define a genuine tropical point.  Labels are canonicalized the
-    same way as on the tropical side: the label of a cell is every site whose
-    power region contains it.  With pairwise distinct coordinates everywhere
-    the enumerated label is already canonical and the size-n bound applies.
-    """
+    label: tuple
+
+
+def _power_walk(lifts: Sequence[OFVector], ledger: Optional[ThresholdLedger] = None):
+    """The label-lattice walk over the farthest power diagram of the lifts,
+    probing strict feasibility only: (labels, order, affine_dim), the
+    canonical labels, their inclusion order, and the dimension of a cell."""
     lifts = list(lifts)
     if len(lifts) > LIFT_CAP:
         raise ValueError("size cap exceeded")
@@ -383,23 +383,38 @@ def power_diagram_poset(
         les = [(prow(a0, b), zero) for b in range(len(lifts)) if b not in label]
         return eqs, les
 
-    def probe(label) -> Optional[PowerCell]:
+    def probe(label) -> Optional[_Walked]:
         eqs, les = cell_rows(label)
-        if not lp_strictly_feasible(n, eqs, orthant, les, ring):
-            return None
-        return PowerCell(label, lp_affine_dim(n, eqs, les + orthant, ring))
+        return _Walked(label) if lp_strictly_feasible(n, eqs, orthant, les, ring) else None
 
-    def contains(c: PowerCell, b: int) -> bool:
-        # the cell lies in the power region of b when no other lift is
-        # strictly farther anywhere on it
+    def contains(c: _Walked, b: int) -> bool:
+        # the cell lies in the power region of b when no lift is strictly
+        # farther than b anywhere on it; label[0] is farthest on the whole
+        # cell, so it is strictly farther than b wherever any lift is
         eqs, les = cell_rows(c.label)
-        return not any(
-            lp_strictly_feasible(n, eqs, [(prow(a, b), zero)], les + orthant, ring)
-            for a in range(len(lifts))
-            if a != b
-        )
+        return not lp_strictly_feasible(n, eqs, [(prow(c.label[0], b), zero)], les + orthant, ring)
 
-    return PowerDiagram(*label_lattice(len(lifts), gp, n, probe, contains))
+    def affine_dim(label) -> int:
+        eqs, les = cell_rows(label)
+        return lp_affine_dim(n, eqs, les + orthant, ring)
+
+    cells, order = label_lattice(len(lifts), gp, n, probe, contains)
+    return [c.label for c in cells], order, affine_dim
+
+
+def power_diagram_poset(
+    lifts: Sequence[OFVector], ledger: Optional[ThresholdLedger] = None
+) -> PowerDiagram:
+    """All cells of the farthest power diagram with canonical labels.
+
+    A label is kept when its cone meets the open orthant, where the leading
+    exponents define a genuine tropical point.  Labels are canonicalized the
+    same way as on the tropical side: the label of a cell is every site whose
+    power region contains it.  With pairwise distinct coordinates everywhere
+    the enumerated label is already canonical and the size-n bound applies.
+    """
+    labels, order, affine_dim = _power_walk(lifts, ledger)
+    return PowerDiagram(tuple(PowerCell(label, affine_dim(label)) for label in labels), order)
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,13 @@ def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Calla
     probe(label) returns the cell of a sorted label, or None when it is
     empty; a label is probed only when every label one site smaller is
     nonempty.  The canonical label of a cell is the set of every site s with
-    contains(cell, s).  In general position (gp) the enumerated label is
-    already canonical and cells have at most n sites, since dimensions drop
-    strictly with the label size.  Returns (cells, order): cells sorted by
-    label size, then label, and (child, parent) index pairs with the child
-    strictly inside the parent.
+    contains(cell, s).  contains is consulted only when the label grown by s
+    is itself nonempty: a cell inside the region of s also lies in the cell
+    of the grown label, so the filter changes no canonical label.  In general
+    position (gp) the enumerated label is already canonical and cells have
+    at most n sites, since dimensions drop strictly with the label size.
+    Returns (cells, order): cells sorted by label size, then label, and
+    (child, parent) index pairs with the child strictly inside the parent.
     """
     nonempty: dict = {}
     candidates = [(s,) for s in range(count)]
@@ -309,7 +311,11 @@ def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Calla
     else:
         canonical = {}
         for label, c in sorted(nonempty.items()):
-            key = tuple(s for s in range(count) if s in label or contains(c, s))
+            key = tuple(
+                s
+                for s in range(count)
+                if s in label or (tuple(sorted(label + (s,))) in nonempty and contains(c, s))
+            )
             if key not in canonical:
                 canonical[key] = replace(c, label=key)
 

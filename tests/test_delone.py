@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subset_hull import subset_hull_facets
 from tropvor.delone import (
     DualGraph,
     SimplicialComplex,
@@ -32,6 +33,12 @@ def sites(*rows):
     return SiteSet([H(*r) for r in rows])
 
 
+def combo_block(b0, b1):
+    """The nine integer combinations i*b0 + j*b1 with i, j in {-1, 0, 1}."""
+    steps = (-1, 0, 1)
+    return SiteSet([H(*(i * x + j * y for x, y in zip(b0, b1))) for i in steps for j in steps])
+
+
 def a2_window():
     L = LatticeWindow([H(1, -1, 0), H(0, 1, -1)], 1)
     S, report = lattice_points(L)
@@ -40,6 +47,24 @@ def a2_window():
 
 
 CYCLIC = sites((1, -1, 0), (0, 1, -1), (-1, 0, 1))
+
+# sufficiently generic sets whose dual graph has four pairwise adjacent
+# regions with no common point: the clique complex of the dual graph has a
+# facet of four sites there, the hull complex and the nerve only triangles
+CLIQUE_COUNTEREXAMPLES = [
+    sites((-1, 2, -1), (11, 0, -11), (-7, -8, 15), (10, -12, 2), (8, -2, -6)),
+    sites((3, 12, -15), (-1, -2, 3), (1, -5, 4), (-12, 5, 7)),
+    sites((-7, 5, 2), (9, 9, -18), (-4, -7, 11), (-12, 8, 4)),
+]
+
+
+def integer_sites(n, lo, hi, min_size, max_size):
+    """Distinct integer points on H with the first n - 1 coordinates in
+    [lo, hi]."""
+    head = st.tuples(*[st.integers(lo, hi)] * (n - 1))
+    return st.lists(head, min_size=min_size, max_size=max_size, unique=True).map(
+        lambda rows: SiteSet([H(*r, -sum(r)) for r in rows])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +219,46 @@ def test_scarf_cyclic_trio():
 def test_scarf_requires_genericity():
     with pytest.raises(ValueError, match="precondition: genericity"):
         scarf_check(a2_window())
+
+
+@pytest.mark.parametrize("S", CLIQUE_COUNTEREXAMPLES)
+def test_scarf_compares_with_the_nerve_not_the_clique_complex(S):
+    assert sufficiently_generic(S)[0]
+    assert any(len(F) > S.n for F in delone_complex(S).facets)
+    assert scarf_check(S) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_sites(3, -15, 15, 4, 5))
+def test_nerve_equals_hull_on_sufficiently_generic_sets(S):
+    # scarf_check compares the nerve of the Voronoi diagram with the hull
+    # complex; the two agree whenever the sites are sufficiently generic
+    if sufficiently_generic(S)[0]:
+        assert scarf_check(S) is True
+
+
+# ---------------------------------------------------------------------------
+# the lifted cell walk against the subset-search reference
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        combo_block((2, -2, 0), (-1, 2, -1)),
+        combo_block((22, -21, -1), (-11, 22, -11)),
+        a2_window(),
+        sites((0, 0, 0), (1, -1, 0), (2, -2, 0)),
+        *CLIQUE_COUNTEREXAMPLES,
+    ],
+    ids=["block", "scaled block", "a2 radius 1", "collinear", "clique5", "clique4a", "clique4b"],
+)
+def test_hull_matches_the_subset_search_on_fixtures(S):
+    assert hull_complex(S).facets == subset_hull_facets(S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(integer_sites(3, -2, 2, 2, 5), integer_sites(4, -1, 1, 2, 5)))
+def test_hull_matches_the_subset_search_with_ties(S):
+    # small coordinates make shared coordinates, so most draws take the
+    # walk's canonical-label path
+    assert hull_complex(S).facets == subset_hull_facets(S)

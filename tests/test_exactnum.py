@@ -249,6 +249,11 @@ def test_ratfun_matches_the_dense_fraction_reference(a, b):
         pairs.append((f / g, rf_ / rg))
     for got, want in pairs:
         assert dense_view(got) == reference_view(want)
+    # the order, which sorting rays and points relies on, against the sign
+    # of the reference difference; equal values must tie
+    for x, y, rx, ry in ((f, g, rf_, rg), (g, f, rg, rf_), (f, f, rf_, rf_)):
+        s = (rx - ry).sign()
+        assert (x < y, x <= y, x > y, x >= y, of_compare(x, y)) == (s < 0, s <= 0, s > 0, s >= 0, s)
     # one canonical form: the same value by another route is equal and
     # hashes equal, so sets of rays and points deduplicate
     again = RatFun(list(f.num), list(f.den)) if g.is_zero() else (f * g) / g
