@@ -3,12 +3,16 @@
 Two regions are adjacent when their common cell has codimension at most one
 inside H, the only ambient space where regions are full-dimensional.  The
 Delone complex is literally the clique complex of that graph.  On the lifted
-side, the bounded faces of conv(t^{-s}) + orthant form the hull complex; its
-facets are the maximal canonical labels of the cells of the farthest power
-diagram of the lifts.  scarf_check compares it with the nerve of the
-tropical diagram, whose facets are the maximal canonical labels of the
-Voronoi cells; for sufficiently generic integer sites the two agree facet by
-facet.
+side, the bounded faces of conv(t^{-s}) + orthant form the hull complex of
+the monomial module generated by the x^(-s).  When every pair of sites
+differs in every coordinate, that module is generic and its hull complex is
+its Scarf complex (Bayer-Sturmfels 1998; Miller-Sturmfels, ch. 6), read off
+integer componentwise maxima.  Otherwise its facets are the maximal
+canonical labels of the cells of the farthest power diagram of the lifts,
+found by the lifted label-lattice walk.  scarf_check compares it with the
+nerve of the tropical diagram, whose facets are the maximal canonical labels
+of the Voronoi cells; for sufficiently generic integer sites the two agree
+facet by facet.
 
 Window truncation matters: a site whose region is unbounded within the given
 finite set would acquire more constraints from a larger window, so such sites
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .lift import _power_walk, monomial_lift
-from .sites import SITE_CAP, SiteSet
+from .sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet, check_general_position
 from .voronoi import cell, region, voronoi_diagram
 
 
@@ -116,18 +120,41 @@ def _maximal(labels) -> list:
     return [label for label, a in zip(labels, sets) if not any(a < b for b in sets)]
 
 
+def _scarf_facets(S: SiteSet) -> list:
+    """Facets of the Scarf complex of the module generated by the x^(-s): a
+    nonempty subset of sites is a face when no other subset has the same
+    componentwise maximum of the exponents -s."""
+    exponents = [tuple(-int(c) for c in s.coords) for s in S]
+    first: dict = {}  # maximum -> the one subset attaining it, or None
+    for size in range(1, len(S) + 1):
+        for F in combinations(range(len(S)), size):
+            m = tuple(map(max, zip(*(exponents[i] for i in F))))
+            first[m] = None if m in first else F
+    return _maximal([F for F in first.values() if F is not None])
+
+
 def hull_complex(S: SiteSet) -> SimplicialComplex:
     """Maximal bounded faces of conv of the lifted sites plus the orthant.
 
-    A subset F labels a bounded face exactly when some strictly positive
-    normal x attains the minimum of <t^(-s), x> over the sites precisely on
-    F.  The minimizers at x are the canonical label of the cell of x in the
-    farthest power diagram of the lifts t^(-s), so the facets are the
-    maximal canonical labels of its cells, read off the lifted label-lattice
-    walk without computing any dimension.
+    This is the hull complex of the monomial module generated by the x^(-s).
+    When every pair of sites differs in every coordinate, the module is
+    generic and its hull complex is its Scarf complex (Bayer-Sturmfels,
+    "Cellular resolutions of monomial modules", 1998; Miller-Sturmfels,
+    Combinatorial Commutative Algebra, ch. 6), read off integer maxima.
+
+    Otherwise a subset F labels a bounded face exactly when some strictly
+    positive normal x attains the minimum of <t^(-s), x> over the sites
+    precisely on F.  The minimizers at x are the canonical label of the cell
+    of x in the farthest power diagram of the lifts t^(-s), so the facets
+    are the maximal canonical labels of its cells, read off the lifted
+    label-lattice walk without computing any dimension.
     """
     if any(c.denominator != 1 for s in S for c in s.coords):
         raise ValueError("non-integer sites")
+    if len(S) > LIFT_CAP or S.n > DIM_CAP:
+        raise ValueError("size cap exceeded")
+    if check_general_position(S)[0]:
+        return SimplicialComplex(range(len(S)), _scarf_facets(S))
     labels, _, _ = _power_walk([monomial_lift(s) for s in S])
     return SimplicialComplex(range(len(S)), _maximal(labels))
 

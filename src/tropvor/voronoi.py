@@ -279,7 +279,10 @@ def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Calla
     nonempty.  The canonical label of a cell is the set of every site s with
     contains(cell, s).  contains is consulted only when the label grown by s
     is itself nonempty: a cell inside the region of s also lies in the cell
-    of the grown label, so the filter changes no canonical label.  In general
+    of the grown label, so the filter changes no canonical label.  Labels are
+    settled from the largest down, and contains(cell, s) is skipped when a
+    label one site larger already has its cell outside the region of s: that
+    cell lies in this one, so this one is outside too.  In general
     position (gp) the enumerated label is already canonical and cells have
     at most n sites, since dimensions drop strictly with the label size.
     Returns (cells, order): cells sorted by label size, then label, and
@@ -309,15 +312,26 @@ def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Calla
     if gp:
         canonical = nonempty
     else:
+        keys: dict = {}
+        outside: set = set()  # (label, s) whose cell is not inside the region of s
+        for label in sorted(nonempty, key=len, reverse=True):
+            key = set(label)
+            for s in range(count):
+                if s in label:
+                    continue
+                if (
+                    tuple(sorted(label + (s,))) in nonempty
+                    and not any((tuple(sorted(label + (x,))), s) in outside for x in range(count))
+                    and contains(nonempty[label], s)
+                ):
+                    key.add(s)
+                else:
+                    outside.add((label, s))
+            keys[label] = tuple(sorted(key))
         canonical = {}
         for label, c in sorted(nonempty.items()):
-            key = tuple(
-                s
-                for s in range(count)
-                if s in label or (tuple(sorted(label + (s,))) in nonempty and contains(c, s))
-            )
-            if key not in canonical:
-                canonical[key] = replace(c, label=key)
+            if keys[label] not in canonical:
+                canonical[keys[label]] = replace(c, label=keys[label])
 
     cells = tuple(canonical[key] for key in sorted(canonical, key=lambda k: (len(k), k)))
     index = {c.label: i for i, c in enumerate(cells)}

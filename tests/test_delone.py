@@ -13,6 +13,7 @@ from subset_hull import subset_hull_facets
 from tropvor.delone import (
     DualGraph,
     SimplicialComplex,
+    _maximal,
     complex_to_json,
     delone_complex,
     dual_graph,
@@ -20,9 +21,10 @@ from tropvor.delone import (
     scarf_check,
     sufficiently_generic,
 )
-from tropvor.sites import LatticeWindow, SiteSet, lattice_points
+from tropvor.lift import _power_walk, monomial_lift
+from tropvor.sites import LatticeWindow, SiteSet, check_general_position, lattice_points
 from tropvor.tropcore import HPoint
-from tropvor.voronoi import cell
+from tropvor.voronoi import cell, label_lattice
 
 
 def H(*cs):
@@ -262,3 +264,106 @@ def test_hull_matches_the_subset_search_with_ties(S):
     # small coordinates make shared coordinates, so most draws take the
     # walk's canonical-label path
     assert hull_complex(S).facets == subset_hull_facets(S)
+
+
+# ---------------------------------------------------------------------------
+# the Scarf route for strongly generic sites
+
+
+def strongly_generic_sites(n, min_size, max_size):
+    """Integer points on H, every pair differing in every coordinate: the
+    first n - 1 coordinates are drawn without repeats, the last is checked."""
+    column = st.lists(st.integers(-40, 40), min_size=max_size, max_size=max_size, unique=True)
+
+    def build(draw):
+        size, columns = draw
+        rows = [tuple(col[i] for col in columns) for i in range(size)]
+        return SiteSet([H(*r, -sum(r)) for r in rows])
+
+    return (
+        st.tuples(st.integers(min_size, max_size), st.tuples(*[column] * (n - 1)))
+        .map(build)
+        .filter(lambda S: check_general_position(S)[0])
+    )
+
+
+def walk_facets(S):
+    labels, _, _ = _power_walk([monomial_lift(s) for s in S])
+    return SimplicialComplex(range(len(S)), _maximal(labels)).facets
+
+
+def moment_sites(count):
+    """Sites (k, k^2, -k - k^2): every pair differs in every coordinate."""
+    return sites(*[(k, k * k, -k - k * k) for k in range(count)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        strongly_generic_sites(3, 2, 8),
+        strongly_generic_sites(4, 2, 5),
+        strongly_generic_sites(5, 2, 4),
+    )
+)
+def test_scarf_route_matches_the_walk_and_the_subset_search(S):
+    facets = hull_complex(S).facets
+    assert facets == subset_hull_facets(S)
+    assert facets == walk_facets(S)
+
+
+def test_generic_hulls_run_no_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the lifted walk ran on generic sites")
+
+    monkeypatch.setattr("tropvor.delone._power_walk", no_walk)
+    assert hull_complex(CYCLIC).facets == ((0, 1, 2),)
+    for S in CLIQUE_COUNTEREXAMPLES:
+        assert all(len(F) <= S.n for F in hull_complex(S).facets)
+    S = moment_sites(12)
+    assert check_general_position(S)[0]
+    C = hull_complex(S)
+    assert set(C.vertices) == set(range(12))
+    assert all(len(F) <= S.n for F in C.facets)
+
+
+def test_generic_hulls_keep_the_size_caps():
+    six = sites((0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, -15), (-1, -2, -3, -4, -5, 15))
+    for S in (moment_sites(13), six):
+        assert check_general_position(S)[0]
+        with pytest.raises(ValueError, match="size cap exceeded"):
+            hull_complex(S)
+
+
+def test_scaled_block_is_not_strongly_generic_and_walks(monkeypatch):
+    S = combo_block((22, -21, -1), (-11, 22, -11))
+    assert not check_general_position(S)[0]
+    assert sufficiently_generic(S)[0]
+    walks = []
+
+    def counted(lifts, *args):
+        walks.append(len(lifts))
+        return _power_walk(lifts, *args)
+
+    monkeypatch.setattr("tropvor.delone._power_walk", counted)
+    assert hull_complex(S).facets == (
+        (0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (3, 4, 7), (3, 6, 7), (4, 5, 8), (4, 7, 8),
+    )
+    assert walks == [9]
+
+
+def test_scaled_block_reuses_false_contains_answers(monkeypatch):
+    # a cell outside the region of s has every smaller label's cell outside
+    # it too, so settled false answers spare most containment LPs
+    calls = []
+
+    def counted(count, gp, n, probe, contains):
+        def counted_contains(c, s):
+            calls.append((c.label, s))
+            return contains(c, s)
+
+        return label_lattice(count, gp, n, probe, counted_contains)
+
+    monkeypatch.setattr("tropvor.lift.label_lattice", counted)
+    S = combo_block((22, -21, -1), (-11, 22, -11))
+    assert hull_complex(S).facets == subset_hull_facets(S)
+    assert 0 < len(calls) <= 24
