@@ -20,8 +20,17 @@ element whose sign is consulted; instantiating the data at any rational t0
 above the accumulated bound therefore reproduces every decision, hence the
 identical result, with IntRing arithmetic.
 
-Bland's rule everywhere: entering column of smallest index, leaving row of
-smallest basis index among minimal ratios.  Deterministic and terminating.
+The simplex splits each free variable as x = u - w.  Its tableau stores only
+the u columns, the slacks, the artificials and the right-hand side: every
+pivot keeps w = -u, so a w entry is read as its negated u entry, and its sign
+is still asked of the ring on the stored entry, which leaves the ledger's
+queries exactly those of the full tableau (zp_cauchy(-p) == zp_cauchy(p)).
+The artificial columns are dropped after phase 1, and a pivot leaves alone
+the entries that are zero and stay zero.
+
+Bland's rule everywhere: entering column of smallest logical index (u, w,
+slacks, artificials), leaving row of smallest basis index among minimal
+ratios.  Deterministic and terminating.
 """
 
 from __future__ import annotations
@@ -70,6 +79,14 @@ def zp_sub(a: ZPoly, b: ZPoly) -> ZPoly:
 def zp_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     if not a or not b:
         return {}
+    # a one-term operand shifts and scales the other; Z has no zero
+    # divisors, so no term cancels
+    if len(a) == 1:
+        (ea, ca), = a.items()
+        return {ea + eb: ca * cb for eb, cb in b.items()}
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        return {ea + eb: ca * cb for ea, ca in a.items()}
     out: ZPoly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -156,14 +173,21 @@ def zp_sign(p: ZPoly) -> int:
     return 1 if p[max(p)] > 0 else -1
 
 
+def _zp_cauchy_terms(p: ZPoly) -> tuple:
+    """(lead + m, lead) for the Cauchy bound (lead + m) / lead of a nonzero
+    p, where lead is its leading coefficient's and m the largest other
+    coefficient's absolute value."""
+    dmax = max(p)
+    lead = abs(p[dmax])
+    m = max((abs(c) for e, c in p.items() if e != dmax), default=0)
+    return lead + m, lead
+
+
 def zp_cauchy(p: ZPoly) -> Fraction:
     """Upper bound on the absolute value of every real root of p."""
     if not p:
         return Fraction(1)
-    dmax = max(p)
-    lead = abs(p[dmax])
-    m = max((abs(c) for e, c in p.items() if e != dmax), default=0)
-    return Fraction(lead + m, lead)
+    return Fraction(*_zp_cauchy_terms(p))
 
 
 def zp_eval(p: ZPoly, t0: Fraction) -> Fraction:
@@ -182,9 +206,13 @@ class ThresholdLedger:
 
     def observe(self, p: ZPoly) -> None:
         self.queries += 1
-        b = zp_cauchy(p)
-        if b > self.bound:
-            self.bound = b
+        if not p:
+            return  # zp_cauchy({}) is 1, never above the bound
+        # compare zp_cauchy(p) with the bound by integer cross-multiplication
+        num, den = _zp_cauchy_terms(p)
+        bound = self.bound
+        if num * bound.denominator > bound.numerator * den:
+            self.bound = Fraction(num, den)
 
     def t0(self) -> Fraction:
         """A rational strictly above every recorded threshold."""
@@ -366,13 +394,23 @@ def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult
     a.x <= b, all variables free.  objective may be None (feasibility only).
 
     Rows are pairs (coeffs, rhs) of ring elements.
+
+    Each free variable is split as x = u - w.  The logical columns are u, w,
+    slacks and artificials, in that order, and Bland's rule runs on that
+    logical index.  Every pivot combines whole rows with scalars shared by
+    all columns, so the w_k column stays the negated u_k column: only u is
+    stored, and a w entry is read as its negated u entry.  Its sign is still
+    asked of the ring, on the stored entry, so a ledger sees the same queries
+    as a full tableau would (zp_cauchy(-p) == zp_cauchy(p)).  The artificial
+    columns are dropped once phase 1 and the drive-out are over; phase 2
+    never reads them.
     """
     sign = ring.sign
     sub, mul, div = ring.sub, ring.mul, ring.exact_div
     zero, one = ring.zero, ring.one
 
     nslack = len(les)
-    # columns: u_0..u_{nv-1}, w_0..w_{nv-1} (x = u - w), slacks, artificials
+    # logical columns: u_0..u_{nv-1}, w_0..w_{nv-1}, slacks, artificials
     base_cols = 2 * nv + nslack
 
     # first pass: rows normalized to nonnegative rhs, noting which need an
@@ -391,25 +429,28 @@ def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult
             raw.append((list(coeffs), rhs, i, False))
 
     nart = sum(1 for r in raw if r[3])
-    total_cols = base_cols + nart  # rhs lives at index total_cols
-    artificial = frozenset(range(base_cols, total_cols))
+    total_cols = base_cols + nart
+    # stored columns: u, slacks, artificials, then the rhs at index width;
+    # where[j] is the (stored column, sign) pair of logical column j
+    width = nv + nslack + nart
+    where = [(k, 1) for k in range(nv)] + [(k, -1) for k in range(nv)]
+    where += [(k, 1) for k in range(nv, width)]
 
     rows: list[list] = []
     basis: list[int] = []
     art_rows: list[int] = []
     next_art = base_cols
     for coeffs, rhs, slack_idx, needs_art in raw:
-        row = [zero] * (total_cols + 1)
+        row = [zero] * (width + 1)
         for k, c in enumerate(coeffs):
             if sign(c) == 0:
                 continue
             row[k] = c
-            row[nv + k] = sub(zero, c)
         if slack_idx is not None:
-            row[2 * nv + slack_idx] = sub(zero, one) if needs_art else one
-        row[total_cols] = rhs
+            row[nv + slack_idx] = sub(zero, one) if needs_art else one
+        row[width] = rhs
         if needs_art:
-            row[next_art] = one
+            row[next_art - nv] = one
             basis.append(next_art)
             art_rows.append(len(rows))
             next_art += 1
@@ -422,76 +463,89 @@ def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult
     # phase-1 objective row (z_j - c_j format, for maximizing minus the sum
     # of artificials), reduced against the initial basis: subtracting each
     # artificial row zeroes its artificial column
-    z1 = [zero] * (total_cols + 1)
+    z1 = [zero] * (width + 1)
     for i in art_rows:
-        for j in range(total_cols + 1):
-            if j in artificial:
-                continue
+        for j in (*range(nv + nslack), width):
             z1[j] = sub(z1[j], rows[i][j])
 
     # phase-2 objective row: -c; the initial basic columns all carry zero
     # objective coefficient, so no reduction is needed
-    z2 = [zero] * (total_cols + 1)
+    z2 = [zero] * (width + 1)
     if objective is not None:
         for k, c in enumerate(objective):
             if sign(c) == 0:
                 continue
             z2[k] = sub(zero, c)
-            z2[nv + k] = c
 
     denom = one
 
     def pivot(r: int, c: int) -> None:
+        # entries that are zero before the update and stay zero after it
+        # are left alone; 0 and {} are both falsy
         nonlocal denom
+        sc, cs = where[c]
         prow = rows[r]
-        p = prow[c]
+        p = prow[sc] if cs > 0 else sub(zero, prow[sc])
         for row in rows + [z1, z2]:
             if row is prow:
                 continue
-            f = row[c]
+            f = row[sc]
             if sign(f) == 0:
-                for j in range(total_cols + 1):
-                    row[j] = div(mul(row[j], p), denom)
+                for j, x in enumerate(row):
+                    if x:
+                        row[j] = div(mul(x, p), denom)
             else:
-                for j in range(total_cols + 1):
-                    row[j] = div(sub(mul(row[j], p), mul(f, prow[j])), denom)
+                # nf = -f serves a zero x; a w column stores -f itself
+                if cs > 0:
+                    nf = sub(zero, f)
+                else:
+                    f, nf = sub(zero, f), f
+                for j, (x, y) in enumerate(zip(row, prow)):
+                    if not y:
+                        if x:
+                            row[j] = div(mul(x, p), denom)
+                    elif x:
+                        row[j] = div(sub(mul(x, p), mul(f, y)), denom)
+                    else:
+                        row[j] = div(mul(nf, y), denom)
         denom = p
         basis[r] = c
 
-    def run_phase(zrow, block_artificials: bool) -> str:
+    def run_phase(zrow, ncols: int) -> str:
         while True:
             dsign = sign(denom)
             enter = None
-            for j in range(total_cols):
-                if block_artificials and j in artificial:
-                    continue
-                if sign(zrow[j]) * dsign < 0:
+            for j in range(ncols):
+                sc, cs = where[j]
+                if sign(zrow[sc]) * cs * dsign < 0:
                     enter = j
                     break
             if enter is None:
                 return OPTIMAL
+            sc, cs = where[enter]
             leave = None
             for i in range(m):
-                if sign(rows[i][enter]) * dsign <= 0:
+                if sign(rows[i][sc]) * cs * dsign <= 0:
                     continue
                 if leave is None:
                     leave = i
                     continue
                 # rhs_i/col_i vs rhs_leave/col_leave by cross-multiplication;
                 # both columns have positive true sign, so the ring-level
-                # product test is direction-correct whatever the sign of d
+                # product test is direction-correct whatever the sign of d.
+                # On stored u entries a w column's difference is negated.
                 diff = sub(
-                    mul(rows[i][-1], rows[leave][enter]),
-                    mul(rows[leave][-1], rows[i][enter]),
+                    mul(rows[i][-1], rows[leave][sc]),
+                    mul(rows[leave][-1], rows[i][sc]),
                 )
-                s = sign(diff)
+                s = sign(diff) * cs
                 if s < 0 or (s == 0 and basis[i] < basis[leave]):
                     leave = i
             if leave is None:
                 return UNBOUNDED
             pivot(leave, enter)
 
-    run_phase(z1, block_artificials=False)
+    run_phase(z1, total_cols)
     # phase 1 is never unbounded: its objective is bounded above by zero
     if sign(z1[-1]) != 0:
         return LPResult(INFEASIBLE)
@@ -500,9 +554,9 @@ def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult
     # pivoted on any structural column are redundant and get dropped
     drop: list[int] = []
     for i in range(m):
-        if basis[i] not in artificial:
+        if basis[i] < base_cols:
             continue
-        col = next((j for j in range(base_cols) if sign(rows[i][j]) != 0), None)
+        col = next((j for j in range(base_cols) if sign(rows[i][where[j][0]]) != 0), None)
         if col is None:
             drop.append(i)
         else:
@@ -514,7 +568,10 @@ def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult
     if objective is None:
         return LPResult(OPTIMAL, (zero, one), _extract(rows, basis, denom, nv, ring))
 
-    status = run_phase(z2, block_artificials=True)
+    # phase 2 reads no artificial column: drop them
+    for row in rows + [z1, z2]:
+        del row[nv + nslack:width]
+    status = run_phase(z2, base_cols)
     if status != OPTIMAL:
         return LPResult(status)
     return LPResult(OPTIMAL, (z2[-1], denom), _extract(rows, basis, denom, nv, ring))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropvor._lp import (
@@ -23,6 +23,7 @@ from tropvor._lp import (
     lp_rank,
     lp_solve,
     lp_strictly_feasible,
+    zp_add,
     zp_cauchy,
     zp_content,
     zp_eval,
@@ -30,10 +31,12 @@ from tropvor._lp import (
     zp_from_int,
     zp_gcd,
     zp_mul,
+    zp_neg,
     zp_sign,
     zp_sub,
 )
 from dense_ratfun import pgcd, pscale
+from full_tableau_lp import lp_solve as full_tableau_lp_solve
 from tropvor.exactnum import clear_rat_row
 
 R = INT_RING
@@ -223,32 +226,6 @@ def test_poly_lp_order_matters():
     assert lp_strictly_feasible(1, [], les, [], ring)
 
 
-def test_ledger_instantiation_reproduces_the_result():
-    led = ThresholdLedger()
-    ring = PolyRing(led)
-    t = zp(0, 1)
-    # max x + y subject to x <= t, y <= t^2 - 5t, x + y <= t^2 - 3
-    les = [
-        ([zp(1), zp(0)], t),
-        ([zp(0), zp(1)], zp_sub(zp(0, 0, 1), zp(0, 5))),
-        ([zp(1), zp(1)], zp(-3, 0, 1)),
-    ]
-    obj = [zp(1), zp(1)]
-    res = lp_solve(2, [], les, obj, ring)
-    assert res.status == OPTIMAL
-    t0 = led.t0()
-    assert t0 > 1
-    int_les = [
-        ([int(zp_eval(c, t0)) for c in row], int(zp_eval(rhs, t0)))
-        for row, rhs in les
-    ]
-    int_obj = [int(zp_eval(c, t0)) for c in obj]
-    res0 = lp_solve(2, [], int_les, int_obj, INT_RING)
-    assert res0.status == OPTIMAL
-    num, den = res.value
-    assert Fraction(int(zp_eval(num, t0)), int(zp_eval(den, t0))) == frac(res0.value)
-
-
 def test_poly_affine_dim():
     ring = PolyRing()
     t = zp(0, 1)
@@ -277,6 +254,30 @@ def test_zp_sign_matches_evaluation_beyond_cauchy_bound(p):
     b = zp_cauchy(p)
     v = zp_eval(p, b + 1)
     assert zp_sign(p) == (v > 0) - (v < 0)
+
+
+@given(zpolys, zpolys)
+@settings(max_examples=150, deadline=None)
+def test_zp_mul_by_a_one_term_operand_matches_the_general_product(a, b):
+    # the one-term shortcut against the double loop it skips
+    mono = {max(a): a[max(a)]} if a else {}
+    general: dict = {}
+    for ea, ca in mono.items():
+        for eb, cb in b.items():
+            general = zp_add(general, {ea + eb: ca * cb})
+    assert zp_mul(mono, b) == general
+    assert zp_mul(b, mono) == general
+
+
+@given(st.lists(zpolys, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_ledger_bound_is_the_largest_cauchy_bound(polys):
+    led = ThresholdLedger()
+    for p in polys:
+        led.observe(p)
+    assert type(led.bound) is Fraction
+    assert led.bound == max([Fraction(1)] + [zp_cauchy(p) for p in polys])
+    assert led.queries == len(polys)
 
 
 def test_zp_inexact_division_raises():
@@ -469,3 +470,122 @@ def test_cramer_minors_span_the_kernel(system):
         assert ring.sign(dot(row, d, ring)) == 0
     nonzero = any(ring.sign(x) != 0 for x in d)
     assert nonzero == (lp_rank(rows, ring) == n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the half-width simplex against the full tableau it replaced
+
+def nonnegative(p):
+    """p, or -p when p is negative in the ordering at t -> +infinity."""
+    return zp_neg(p) if zp_sign(p) < 0 else p
+
+
+@st.composite
+def lp_instances(draw, ring):
+    """(nv, eqs, les, objective) over IntRing or PolyRing.
+
+    Rows are built around a point x0 with coordinates of either sign, so
+    feasible systems with negative optimal coordinates (a w column basic)
+    are common.  Equality rows, a redundant scaled copy of one, rows whose
+    rhs is negative, a box that keeps the optimum bounded, a random row that
+    may cut x0 off, and objective None all come up.
+    """
+    nv = draw(st.integers(1, 3))
+    if ring is INT_RING:
+        entry, slack = small, st.integers(0, 4)
+    else:
+        entry, slack = zpolys, zpolys.map(nonnegative)
+    x0 = [draw(entry) for _ in range(nv)]
+
+    def row():
+        return [draw(entry) for _ in range(nv)]
+
+    def unit(k, c):
+        return [ring.from_int(c if i == k else 0) for i in range(nv)]
+
+    eqs = []
+    for _ in range(draw(st.integers(0, 2))):
+        a = row()
+        eqs.append((a, dot(a, x0, ring)))
+    if eqs and draw(st.booleans()):
+        a, b = eqs[0]
+        c = ring.from_int(draw(st.sampled_from([-2, -1, 2])))
+        eqs.append(([ring.mul(c, x) for x in a], ring.mul(c, b)))
+    les = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = row()
+        les.append((a, ring.add(dot(a, x0, ring), draw(slack))))
+    if draw(st.booleans()):
+        for k in range(nv):
+            les.append((unit(k, 1), ring.add(x0[k], draw(slack))))
+            les.append((unit(k, -1), ring.sub(draw(slack), x0[k])))
+    if draw(st.booleans()):
+        les.append((row(), draw(entry)))
+    objective = row() if draw(st.booleans()) else None
+    return nv, eqs, les, objective
+
+
+@given(lp_instances(INT_RING))
+@settings(max_examples=300, deadline=None)
+def test_half_width_simplex_matches_the_full_tableau_over_int(lp):
+    nv, eqs, les, objective = lp
+    res = lp_solve(nv, eqs, les, objective, INT_RING)
+    ref = full_tableau_lp_solve(nv, eqs, les, objective, INT_RING)
+    assert (res.status, res.value, res.solution) == (ref.status, ref.value, ref.solution)
+
+
+@given(lp_instances(POLY_RING))
+@settings(max_examples=300, deadline=None)
+def test_half_width_simplex_matches_the_full_tableau_over_poly(lp):
+    # the ledger sees the same sign queries, so bound and count agree too
+    nv, eqs, les, objective = lp
+    led, ref_led = ThresholdLedger(), ThresholdLedger()
+    res = lp_solve(nv, eqs, les, objective, PolyRing(led))
+    ref = full_tableau_lp_solve(nv, eqs, les, objective, PolyRing(ref_led))
+    assert (res.status, res.value, res.solution) == (ref.status, ref.value, ref.solution)
+    assert (led.bound, led.queries) == (ref_led.bound, ref_led.queries)
+
+
+def at_t0(p, t0):
+    v = zp_eval(p, t0)
+    assert v.denominator == 1
+    return int(v)
+
+
+# max x + y subject to x <= t, y <= t^2 - 5t, x + y <= t^2 - 3
+FIXED_PROGRAM = (
+    2,
+    [],
+    [
+        ([zp(1), zp(0)], zp(0, 1)),
+        ([zp(0), zp(1)], zp(0, -5, 1)),
+        ([zp(1), zp(1)], zp(-3, 0, 1)),
+    ],
+    [zp(1), zp(1)],
+)
+
+
+@given(lp_instances(POLY_RING))
+@example(FIXED_PROGRAM)
+@settings(max_examples=150, deadline=None)
+def test_ledger_instantiation_reproduces_the_result(lp):
+    # every sign the symbolic solve asked is the sign at t0, so the same
+    # pivots run over the integers and give the symbolic answer at t0
+    nv, eqs, les, objective = lp
+    led = ThresholdLedger()
+    res = lp_solve(nv, eqs, les, objective, PolyRing(led))
+    t0 = led.t0()
+    assert t0 > led.bound
+
+    def inst(rows):
+        return [([at_t0(c, t0) for c in a], at_t0(b, t0)) for a, b in rows]
+
+    int_obj = None if objective is None else [at_t0(c, t0) for c in objective]
+    res0 = lp_solve(nv, inst(eqs), inst(les), int_obj, INT_RING)
+    assert res0.status == res.status
+    if res.status != OPTIMAL:
+        return
+    num, den = res.value
+    assert Fraction(at_t0(num, t0), at_t0(den, t0)) == frac(res0.value)
+    for (n, d), (n0, d0) in zip(res.solution, res0.solution, strict=True):
+        assert Fraction(at_t0(n, t0), at_t0(d, t0)) == Fraction(n0, d0)
