@@ -317,7 +317,9 @@ def _eliminate(M: list, ncols: int, ring) -> tuple:
             row = M[r]
             f = row[col]
             for c in range(col, len(row)):
-                row[c] = div(sub(mul(row[c], p), mul(f, prow[c])), denom)
+                # a zero entry stays zero when f or prow[c] is zero
+                if row[c] or (f and prow[c]):
+                    row[c] = div(sub(mul(row[c], p), mul(f, prow[c])), denom)
         denom = p
         pivots.append(col)
         if len(pivots) == len(M):

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .lift import _power_walk, monomial_lift
 from .sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet, check_general_position
-from .voronoi import cell, region, voronoi_diagram
+from .voronoi import _cell, _site_halfspaces, cell, region, voronoi_diagram
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,10 @@ def dual_graph(S: SiteSet) -> DualGraph:
     """Edges between regions whose intersection has codimension <= 1 in H."""
     if len(S) > SITE_CAP:
         raise ValueError("instance too large")
+    table, L = _site_halfspaces(S, range(len(S)))
     edges = []
     for i, j in combinations(range(len(S)), 2):
-        if cell(S, (i, j)).dim >= S.n - 2:
+        if _cell(S.n, (i, j), [table[i], table[j]], L)[0].dim >= S.n - 2:
             edges.append((i, j))
     return DualGraph(tuple(range(len(S))), tuple(edges))
 

@@ -4,12 +4,15 @@ Every tropical halfspace turns into ordinary linear pieces by branching on
 which right-side term attains the maximum; complements branch on the left
 term with a strict inequality.  Every row is a difference bound
 x_p - x_q <= r (or < r), so every piece is a polytrope and is kept as its
-closed difference-bound matrix: shortest paths between the n coordinates,
-with exact rational bounds.  The closure decides everything.  A piece is
-empty when it has a negative cycle or a zero cycle through a strict bound;
-its dimension in H is its number of zero-cycle classes minus one; it is
-bounded when every bound is finite; and it lies in a halfspace when every
-strict complement piece added to it is empty.
+closed difference-bound matrix: shortest paths between the n coordinates.
+Every bound is a difference of site coordinates, so it is an integer
+multiple of 1/L for the lcm L of their denominators.  Each entry is one
+Python int at that common scale, with the strict bit packed into its low
+bit, and every decision is exact.  The closure decides everything.  A
+piece is empty when it has a negative cycle or a zero cycle through a
+strict bound; its dimension in H is its number of zero-cycle classes minus
+one; it is bounded when every bound is finite; and it lies in a halfspace
+when every strict complement piece added to it is empty.
 
 A polytrope is the tropical hull of its Kleene-star generators, the negated
 rows of its closed matrix.  A bounded region is the union of its pieces and
@@ -22,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exactnum import clear_rat_row
 from .sites import SITE_CAP, SiteSet, check_general_position, signature_reduce
 from .tropcore import (
     HPoint,
@@ -44,19 +47,30 @@ from .tropcore import (
 # ---------------------------------------------------------------------------
 # pieces as closed difference-bound matrices
 #
-# D[p][q] is the tightest bound on x_p - x_q as a pair (r, weak): weak is 1
-# for <= r and 0 for < r, so pairs order by tightness and add componentwise
-# (the bits by &).  None means no bound.
+# Every bound is a difference of halfspace coefficients, so it lies in
+# (1/L)Z for the lcm L of their denominators, and an edge (p, q, r) bounds
+# x_p - x_q by the integer r at that scale, r/L.  D[p][q] is the tightest
+# bound on x_p - x_q packed into one int 2*r + weak: weak is 1 for <= and 0
+# for <, so ints order as the pairs (r, weak) do, a sum is
+# a + b - ((a | b) & 1) (the bits combine by &), and the zero bound is 1.
+# None means no bound.
 
-_ZERO = (Fraction(0), 1)
+
+def _scale(halfspaces: Iterable[TropicalHalfspace]) -> int:
+    """The lcm L of the denominators of every coefficient."""
+    return lcm(*(x.denominator for h in halfspaces for x in h.c + h.d))
+
+
+def _scaled(values: Sequence[Fraction], L: int) -> list:
+    return [x.numerator * (L // x.denominator) for x in values]
 
 
 def _free(n: int) -> list:
     """The closed matrix of all of H."""
-    return [[_ZERO if p == q else None for q in range(n)] for p in range(n)]
+    return [[1 if p == q else None for q in range(n)] for p in range(n)]
 
 
-def _tighten(D: list, p: int, q: int, bound: tuple) -> Optional[list]:
+def _tighten(D: list, p: int, q: int, bound: int) -> Optional[list]:
     """The closure of D with x_p - x_q bounded by bound added, or None when
     that system is empty.
 
@@ -67,34 +81,37 @@ def _tighten(D: list, p: int, q: int, bound: tuple) -> Optional[list]:
     if D[p][q] is not None and D[p][q] <= bound:
         return D
     back = D[q][p]
-    if back is not None and (back[0] + bound[0], back[1] & bound[1]) < _ZERO:
+    if back is not None and back + bound - ((back | bound) & 1) < 1:
         return None
     out = [row[:] for row in D]
-    for i, head in enumerate(D):
+    tail = D[q]
+    for head, row in zip(D, out):
         a = head[p]
         if a is None:
             continue
-        for j, b in enumerate(D[q]):
+        a += bound - ((a | bound) & 1)
+        for j, b in enumerate(tail):
             if b is not None:
-                w = (a[0] + bound[0] + b[0], a[1] & bound[1] & b[1])
-                if out[i][j] is None or w < out[i][j]:
-                    out[i][j] = w
+                w = a + b - ((a | b) & 1)
+                if row[j] is None or w < row[j]:
+                    row[j] = w
     return out
 
 
 def _close(D: Optional[list], edges, weak: int) -> Optional[list]:
-    """D with every edge (p, q, r), x_p - x_q <= r (weak) or < r, added."""
+    """D with every edge (p, q, r), x_p - x_q <= r/L (weak) or < r/L, added."""
     for p, q, r in edges:
         if D is None:
             break
-        D = _tighten(D, p, q, (r, weak))
+        D = _tighten(D, p, q, 2 * r + weak)
     return D
 
 
 def _dim(D: list) -> int:
     """Dimension in H of a nonempty closed piece: zero-cycle classes minus 1."""
     return sum(
-        all(D[i][j] is None or D[j][i] is None or D[i][j][0] + D[j][i][0] != 0 for j in range(i))
+        all(D[i][j] is None or D[j][i] is None or (D[i][j] >> 1) + (D[j][i] >> 1) != 0
+            for j in range(i))
         for i in range(len(D))
     ) - 1
 
@@ -103,52 +120,62 @@ def _bounded(D: list) -> bool:
     return all(b is not None for row in D for b in row)
 
 
-def _difference_row(n: int, p: int, q: int, r: Fraction):
-    """The row x_p - x_q <= r, cleared to integers."""
-    coeffs = [Fraction(0)] * n
-    coeffs[p] = Fraction(1)
-    coeffs[q] = Fraction(-1)
-    row = clear_rat_row(coeffs + [r])
-    return row[:-1], row[-1]
+def _difference_row(n: int, p: int, q: int, r: int, L: int):
+    """The row x_p - x_q <= r/L, cleared to coprime integers."""
+    g = gcd(L, r)
+    coeffs = [0] * n
+    coeffs[p] = L // g
+    coeffs[q] = -(L // g)
+    return tuple(coeffs), r // g
 
 
-def _choice_edges(h: TropicalHalfspace, j: int, dj: Fraction):
-    """Weak edges of the piece of h where right term j dominates the left."""
-    return [(i, j, dj - ci) for i, ci in zip(h.I, h.c)]
+def _choices(h: TropicalHalfspace, n: int, L: int) -> list:
+    """(weak edges, integer rows) of each piece of h, one per right term j
+    dominating the left."""
+    c, d = _scaled(h.c, L), _scaled(h.d, L)
+    out = []
+    for j, dj in zip(h.J, d):
+        edges = [(i, j, dj - ci) for i, ci in zip(h.I, c)]
+        out.append((edges, tuple(_difference_row(n, *e, L) for e in edges)))
+    return out
 
 
-def _complement_edges(h: TropicalHalfspace, i: int, ci: Fraction):
-    """Strict edges of the complement piece where left term i beats all of J."""
-    return [(j, i, ci - dj) for j, dj in zip(h.J, h.d)]
+def _complements(h: TropicalHalfspace, L: int) -> list:
+    """Strict edges of each complement piece of h, one per left term i
+    beating all of J."""
+    c, d = _scaled(h.c, L), _scaled(h.d, L)
+    return [[(j, i, ci - dj) for j, dj in zip(h.J, d)] for i, ci in zip(h.I, c)]
 
 
-def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int):
+def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, L: int):
     """Nonempty pieces of the intersection as (integer rows, closed matrix)
     pairs, one per choice of right term in each halfspace, pruned by prefix."""
+    choices = [_choices(h, n, L) for h in halfspaces]
     out: list = []
 
     def rec(idx: int, rows: tuple, D: list) -> None:
-        if idx == len(halfspaces):
+        if idx == len(choices):
             out.append((rows, D))
             return
-        h = halfspaces[idx]
-        for j, dj in zip(h.J, h.d):
-            edges = _choice_edges(h, j, dj)
+        for edges, piece_rows in choices[idx]:
             E = _close(D, edges, 1)
             if E is not None:
-                rec(idx + 1, rows + tuple(_difference_row(n, *e) for e in edges), E)
+                rec(idx + 1, rows + piece_rows, E)
 
     rec(0, (), _free(n))
     return out
 
 
-def _inside(D: list, h: TropicalHalfspace) -> bool:
-    return all(_close(D, _complement_edges(h, i, ci), 0) is None for i, ci in zip(h.I, h.c))
+def _inside(D: list, complements: list) -> bool:
+    """Does the piece D lie in the halfspace with these complement edges?"""
+    return all(_close(D, edges, 0) is None for edges in complements)
 
 
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
     """Is the intersection of the others already inside h?"""
-    return all(_inside(D, h) for _, D in _pieces(list(others), h.n))
+    L = _scale([h, *others])
+    complements = _complements(h, L)
+    return all(_inside(D, complements) for _, D in _pieces(others, h.n, L))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +200,11 @@ def region_contains(r: VoronoiRegion, x: HPoint) -> bool:
     return all(halfspace_contains(h, x) for h in r.halfspaces)
 
 
-def _extreme_points(closures: Sequence[list]):
+def _extreme_points(closures: Sequence[list], L: int):
     """Tropical extreme points of the union of bounded closed pieces, sorted."""
-    candidates = {normalize_to_H([-b[0] for b in row]) for D in closures for row in D}
+    candidates = {
+        normalize_to_H([Fraction(-(b >> 1), L) for b in row]) for D in closures for row in D
+    }
     members = sorted(candidates, key=lambda g: g.coords)
     if len(members) <= 1:
         return tuple(members)
@@ -201,9 +230,10 @@ def region(S: SiteSet, s: int) -> VoronoiRegion:
         else:
             i += 1
 
-    closures = [D for _, D in _pieces(kept, S.n)]
+    L = _scale(kept)
+    closures = [D for _, D in _pieces(kept, S.n, L)]
     bounded = bool(kept) and all(_bounded(D) for D in closures)
-    return VoronoiRegion(s, tuple(kept), _extreme_points(closures) if bounded else None)
+    return VoronoiRegion(s, tuple(kept), _extreme_points(closures, L) if bounded else None)
 
 
 def classify(S: SiteSet, x: HPoint):
@@ -242,14 +272,17 @@ class DiagramCell:
     pieces: tuple
 
 
-def _site_halfspaces(S: SiteSet, labels: Iterable[int]) -> dict:
-    """The halfspaces cutting out the region of each site in labels."""
-    return {s: [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)] for s in labels}
+def _site_halfspaces(S: SiteSet, labels: Iterable[int]) -> tuple:
+    """The halfspaces cutting out the region of each site in labels, as a
+    dict by site, and their common scale."""
+    table = {s: [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)] for s in labels}
+    return table, _scale(h for lst in table.values() for h in lst)
 
 
-def _cell(n: int, label, hs_lists) -> tuple:
-    """The cell of a sorted label, and the closed matrix of each piece."""
-    pieces = _pieces([h for lst in hs_lists for h in lst], n)
+def _cell(n: int, label, hs_lists, L: int) -> tuple:
+    """The cell of a sorted label, and the closed matrix of each piece, at a
+    scale L common to every halfspace in hs_lists."""
+    pieces = _pieces([h for lst in hs_lists for h in lst], n, L)
     dim = max((_dim(D) for _, D in pieces), default=-1)
     return DiagramCell(label, dim, tuple(rows for rows, _ in pieces)), [D for _, D in pieces]
 
@@ -259,8 +292,8 @@ def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
     label = tuple(sorted(set(int(t) for t in T)))
     if not label or label[0] < 0 or label[-1] >= len(S):
         raise ValueError("label must be a nonempty subset of site indices")
-    table = _site_halfspaces(S, label)
-    return _cell(S.n, label, [table[s] for s in label])[0]
+    table, L = _site_halfspaces(S, label)
+    return _cell(S.n, label, [table[s] for s in label], L)[0]
 
 
 @dataclass(frozen=True)
@@ -354,15 +387,16 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         raise ValueError("instance too large")
     n = S.n
     gp, _ = check_general_position(S)
-    table = _site_halfspaces(S, range(len(S)))
+    table, L = _site_halfspaces(S, range(len(S)))
+    complements = {s: [_complements(h, L) for h in lst] for s, lst in table.items()}
     closures: dict = {}
 
     def probe(label) -> Optional[DiagramCell]:
-        c, closures[label] = _cell(n, label, [table[s] for s in label])
+        c, closures[label] = _cell(n, label, [table[s] for s in label], L)
         return c if c.dim >= 0 else None
 
     def contains(c: DiagramCell, s: int) -> bool:
-        return all(_inside(D, h) for D in closures[c.label] for h in table[s])
+        return all(_inside(D, comp) for D in closures[c.label] for comp in complements[s])
 
     return VoronoiDiagram(*label_lattice(len(S), gp, n, probe, contains))
 

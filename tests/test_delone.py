@@ -22,7 +22,13 @@ from tropvor.delone import (
     sufficiently_generic,
 )
 from tropvor.lift import _power_walk, monomial_lift
-from tropvor.sites import LatticeWindow, SiteSet, check_general_position, lattice_points
+from tropvor.sites import (
+    LatticeWindow,
+    SiteSet,
+    check_general_position,
+    lattice_points,
+    signature_reduce,
+)
 from tropvor.tropcore import HPoint
 from tropvor.voronoi import cell, label_lattice
 
@@ -134,6 +140,23 @@ def test_a2_window_dual_graph_and_complex():
         for i in range(len(F)):
             for j in range(i + 1, len(F)):
                 assert (F[i], F[j]) in edge_set
+
+
+def test_dual_graph_reduces_each_site_once(monkeypatch):
+    # the "plus" block: the origin and its four neighbours along two bases
+    b0, b1 = (2, -2, 0), (-1, 2, -1)
+    steps = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+    S = SiteSet([H(*(i * x + j * y for x, y in zip(b0, b1))) for i, j in steps])
+    facets = delone_complex(S).facets
+    calls = []
+
+    def counted(S, s):
+        calls.append(s)
+        return signature_reduce(S, s)
+
+    monkeypatch.setattr("tropvor.voronoi.signature_reduce", counted)
+    assert delone_complex(S).facets == facets
+    assert len(calls) <= 10
 
 
 def test_collinear_trio_is_one_triangle():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_dbm
 from tropvor._lp import (
     INT_RING,
     UNBOUNDED,
@@ -34,9 +35,13 @@ from tropvor.voronoi import (
     VoronoiRegion,
     _bounded,
     _close,
+    _complements,
     _difference_row,
     _dim,
     _free,
+    _inside,
+    _pieces,
+    _scale,
     cell,
     classify,
     diagram_to_json,
@@ -451,9 +456,12 @@ def difference_systems(draw):
 @given(difference_systems())
 def test_closure_decides_like_the_lp_kernel(system):
     n, weak, strict = system
+    # every bound lies in (1/6)Z, so the kernel takes it scaled by 6
+    weak = [(p, q, int(6 * r)) for p, q, r in weak]
+    strict = [(p, q, int(6 * r)) for p, q, r in strict]
     ones = [([1] * n, 0)]
-    weak_rows = [_difference_row(n, *e) for e in weak]
-    strict_rows = [_difference_row(n, *e) for e in strict]
+    weak_rows = [_difference_row(n, *e, 6) for e in weak]
+    strict_rows = [_difference_row(n, *e, 6) for e in strict]
     D = _close(_free(n), weak, 1)
     assert (D is not None) == (lp_feasible(n, ones, weak_rows, INT_RING) is not None)
     E = _close(D, strict, 0)
@@ -467,6 +475,56 @@ def test_closure_decides_like_the_lp_kernel(system):
         for sgn in (1, -1)
     )
     assert _bounded(D) == (not unbounded)
+
+
+@st.composite
+def halfspace_lists(draw):
+    """(n, halfspaces, probe): two-term max halfspaces with rational
+    coefficients whose denominators vary, and one more to test containment."""
+    n = draw(st.integers(2, 5))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+    def halfspace():
+        sides = st.lists(st.booleans(), min_size=n, max_size=n)
+        left = draw(sides.filter(lambda m: 0 < sum(m) < n))
+        I = [i for i in range(n) if left[i]]
+        J = [j for j in range(n) if not left[j]]
+        return TropicalHalfspace(I, [draw(coeff) for _ in I], J, [draw(coeff) for _ in J])
+
+    hs = [halfspace() for _ in range(draw(st.integers(0, 4)))]
+    return n, hs, halfspace()
+
+
+def decoded(D: list, L: int) -> list:
+    """The (Fraction bound, weak bit) matrix of a packed integer matrix."""
+    return [[None if e is None else (Fraction(e >> 1, L), e & 1) for e in row] for row in D]
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_lists())
+def test_integer_closure_decides_like_the_fraction_kernel(system):
+    n, hs, probe = system
+    L = _scale(hs + [probe])
+    new = _pieces(hs, n, L)
+    old = fraction_dbm._pieces(hs, n)
+    assert [rows for rows, _ in new] == [rows for rows, _ in old]
+    complements = _complements(probe, L)
+    old_complements = [
+        fraction_dbm._complement_edges(probe, i, ci) for i, ci in zip(probe.I, probe.c)
+    ]
+    for (_, D), (_, E) in zip(new, old):
+        assert decoded(D, L) == E
+        assert _dim(D) == fraction_dbm._dim(E)
+        assert _bounded(D) == fraction_dbm._bounded(E)
+        assert _inside(D, complements) == fraction_dbm._inside(E, probe)
+        for edges, old_edges in zip(complements, old_complements):
+            C = _close(D, edges, 0)
+            F = fraction_dbm._close(E, old_edges, 0)
+            assert (C is None) == (F is None)
+            if C is not None:
+                assert decoded(C, L) == F
+                assert _dim(C) == fraction_dbm._dim(F)
+    assert halfspace_redundant(probe, hs) == all(fraction_dbm._inside(E, probe) for _, E in old)
 
 
 def reference_generators(r: VoronoiRegion) -> tuple:
@@ -483,7 +541,7 @@ def reference_generators(r: VoronoiRegion) -> tuple:
             pool.add((p, q, beta - alpha))
     seen = set()
     for planes in combinations(sorted(pool), n - 1):
-        rows = [(*a, b) for a, b in (_difference_row(n, *plane) for plane in planes)]
+        rows = [(*a, b) for a, b in (fraction_dbm._difference_row(n, *plane) for plane in planes)]
         try:
             nums, den = lp_cramer(rows + [(*([1] * n), 0)], INT_RING)
         except SingularSystemError:
