@@ -600,17 +600,23 @@ def lp_feasible(nv: int, eqs: Sequence, les: Sequence, ring) -> Optional[list]:
     return res.solution if res.status == OPTIMAL else None
 
 
+def _max_slack(nv: int, eqs: Sequence, les: Sequence, slacked, ring) -> LPResult:
+    """Maximize a slack t shared by the le rows whose indices are in slacked,
+    capped at 1: the rows a.x + t <= b for those, a.x <= b for the rest, in
+    their given order, then t <= 1."""
+    zero, one = ring.zero, ring.one
+    eqs2 = [(list(c) + [zero], b) for c, b in eqs]
+    les2 = [(list(c) + [one if i in slacked else zero], b) for i, (c, b) in enumerate(les)]
+    les2.append(([zero] * nv + [one], one))
+    return lp_solve(nv + 1, eqs2, les2, [zero] * nv + [one], ring)
+
+
 def lp_strictly_feasible(nv: int, eqs: Sequence, strict: Sequence, weak: Sequence, ring) -> bool:
     """Is there a point satisfying eqs, weak rows a.x <= b, and every strict
     row a.x < b?  Decided by maximizing a slack t common to all strict rows,
     capped at 1: strict feasibility is optimal value > 0."""
-    zero, one = ring.zero, ring.one
-    eqs2 = [(list(c) + [zero], b) for c, b in eqs]
-    les2 = [(list(c) + [zero], b) for c, b in weak]
-    les2 += [(list(c) + [one], b) for c, b in strict]
-    les2.append(([zero] * nv + [one], one))  # t <= 1
-    obj = [zero] * nv + [one]
-    res = lp_solve(nv + 1, eqs2, les2, obj, ring)
+    les = list(weak) + list(strict)
+    res = _max_slack(nv, eqs, les, range(len(weak), len(les)), ring)
     return res.status == OPTIMAL and res.value_sign(ring) > 0
 
 
@@ -623,14 +629,7 @@ def lp_affine_dim(nv: int, eqs: Sequence, les: Sequence, ring) -> int:
     that can never be slack join the equality system.  The dimension is nv
     minus the rank of the final equality system.
     """
-    zero, one = ring.zero, ring.one
-
-    # maximize t with every le row given slack t, t <= 1
-    eqs2 = [(list(c) + [zero], b) for c, b in eqs]
-    les2 = [(list(c) + [one], b) for c, b in les]
-    les2.append(([zero] * nv + [one], one))
-    obj = [zero] * nv + [one]
-    res = lp_solve(nv + 1, eqs2, les2, obj, ring)
+    res = _max_slack(nv, eqs, les, range(len(les)), ring)
     if res.status != OPTIMAL:
         return -1
     vsign = res.value_sign(ring)
@@ -648,13 +647,7 @@ def lp_affine_dim(nv: int, eqs: Sequence, les: Sequence, ring) -> int:
     for i, (coeffs, rhs) in enumerate(les):
         if any(_slack_sign(coeffs, rhs, pt, ring) > 0 for pt in points):
             continue
-        eqs3 = [(list(c) + [zero], b) for c, b in eqs]
-        les3 = [
-            (list(c) + ([one] if j == i else [zero]), b)
-            for j, (c, b) in enumerate(les)
-        ]
-        les3.append(([zero] * nv + [one], one))
-        r = lp_solve(nv + 1, eqs3, les3, obj, ring)
+        r = _max_slack(nv, eqs, les, (i,), ring)
         # feasibility was established above, so r is optimal
         if r.value_sign(ring) > 0:
             points.append(r.solution[:nv])

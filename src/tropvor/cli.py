@@ -14,17 +14,15 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-from math import atan2, gcd, sqrt
+from math import atan2, sqrt
 from random import Random
 from typing import Optional, Sequence
 
-from ._lp import INT_RING, SingularSystemError, lp_cramer, lp_feasible
 from .delone import complex_to_json, delone_complex, hull_complex
 from .lift import verify_lift
 from .sites import LatticeWindow, SiteSet, lattice_points, sites_from_json
 from .tropcore import hpoint_from_json
-from .voronoi import diagram_to_json, region, region_to_json, voronoi_diagram
+from .voronoi import _piece_generators, diagram_to_json, region, region_to_json, voronoi_diagram
 
 PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -94,45 +92,6 @@ def _project(p) -> tuple:
     x = (float(p[0]) - float(p[1])) * _U1
     y = (float(p[0]) + float(p[1]) - 2.0 * float(p[2])) * _U2
     return x, -y
-
-
-def _piece_generators(piece) -> tuple:
-    """Vertices and extreme recession directions of {x in H : rows}, n = 3."""
-    rows = [(tuple(c), rhs) for c, rhs in piece]
-    ones = ((1, 1, 1), 0)
-    verts = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            try:
-                nums, den = lp_cramer([(*a, b) for a, b in (rows[i], rows[j], ones)], INT_RING)
-            except SingularSystemError:
-                continue
-            pt = tuple(Fraction(num, den) for num in nums)
-            if all(sum(c * x for c, x in zip(cs, pt)) <= rhs for cs, rhs in rows):
-                if pt not in verts:
-                    verts.append(pt)
-    rays = []
-    for cs, _ in rows:
-        # direction of the line {c.d = 0, sum d = 0}
-        d = (
-            cs[1] - cs[2],
-            cs[2] - cs[0],
-            cs[0] - cs[1],
-        )
-        if d == (0, 0, 0):
-            continue
-        g = gcd(gcd(abs(d[0]), abs(d[1])), abs(d[2]))
-        d = tuple(x // g for x in d)
-        for sgn in (1, -1):
-            cand = tuple(sgn * x for x in d)
-            if all(sum(c * x for c, x in zip(cs2, cand)) <= 0 for cs2, _ in rows):
-                if cand not in rays:
-                    rays.append(cand)
-    if not verts and rays:
-        base = lp_feasible(3, [ones], rows, INT_RING)
-        if base is not None:
-            verts.append(tuple(Fraction(num, den) for num, den in base))
-    return verts, rays
 
 
 def _angle_sorted(points: Sequence) -> list:
@@ -225,9 +184,8 @@ def _render_pieces(canvas: _Canvas, pieces, dim: int, color: str, reach: float) 
             if len(pv) >= 2:
                 canvas.add_polyline(_angle_sorted(pv)[:2], pv)
             elif rays:
-                ends = [_ray_end(verts[0], d, reach) for d in rays[:2]]
-                line = [ends[0], pv[0]] + ([ends[1]] if len(ends) > 1 else [])
-                canvas.add_polyline(line, pv)
+                # a piece of a one-dimensional cell with one vertex is a ray
+                canvas.add_polyline([_ray_end(verts[0], rays[0], reach), pv[0]], pv)
 
 
 def _render(kind, payload, S: Optional[SiteSet], width: int, height: int) -> str:

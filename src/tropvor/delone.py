@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .lift import _power_walk, monomial_lift
 from .sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet, check_general_position
-from .voronoi import _cell, _site_halfspaces, cell, region, voronoi_diagram
+from .voronoi import _cell, _site_halfspaces, region, sufficiently_generic, voronoi_diagram
 
 
 @dataclass(frozen=True)
@@ -158,21 +158,6 @@ def hull_complex(S: SiteSet) -> SimplicialComplex:
         return SimplicialComplex(range(len(S)), _scarf_facets(S))
     labels, _, _ = _power_walk([monomial_lift(s) for s in S])
     return SimplicialComplex(range(len(S)), _maximal(labels))
-
-
-def sufficiently_generic(S: SiteSet):
-    """Every pair of sites with intersecting regions differs everywhere.
-
-    Returns (True, None) or (False, (i, j, k)) naming the offending pair and
-    the shared coordinate.
-    """
-    for i, j in combinations(range(len(S)), 2):
-        shared = next((k for k in range(S.n) if S[i][k] == S[j][k]), None)
-        if shared is None:
-            continue
-        if cell(S, (i, j)).dim >= 0:
-            return False, (i, j, shared)
-    return True, None
 
 
 def scarf_check(S: SiteSet) -> bool:

@@ -63,7 +63,14 @@ from .exactnum import (
 )
 from .sites import DIM_CAP, GEN_CONSTRAINT_CAP, LIFT_CAP, SiteSet, check_general_position
 from .tropcore import HPoint, TropicalHalfspace, normalize_to_H
-from .voronoi import diagram_to_json, label_lattice, region, region_contains, voronoi_diagram
+from .voronoi import (
+    diagram_to_json,
+    label_lattice,
+    region,
+    region_contains,
+    sufficiently_generic,
+    voronoi_diagram,
+)
 
 
 Scalar = Union[RatFun, Fraction]
@@ -455,8 +462,6 @@ def verify_lift(
     """
     gp, _ = check_general_position(S)
     if not gp:
-        from .delone import sufficiently_generic
-
         ok, _ = sufficiently_generic(S)
         if not ok:
             raise ValueError("precondition: genericity")

@@ -18,13 +18,15 @@ A polytrope is the tropical hull of its Kleene-star generators, the negated
 rows of its closed matrix.  A bounded region is the union of its pieces and
 is tropically convex, so its tropical extreme points are among the
 generators of its pieces, and hull membership against the other candidates
-picks them out exactly.
+picks them out exactly.  In n = 3 the same generators hold the ordinary
+vertices of each piece, which the SVG renderer draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -178,6 +180,43 @@ def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace
     return all(_inside(D, complements) for _, D in _pieces(others, h.n, L))
 
 
+def _decode(values: Sequence[int], L: int) -> HPoint:
+    """The point of H with coordinates values/L, up to the all-ones line."""
+    return normalize_to_H([Fraction(v, L) for v in values])
+
+
+# the directions +-(e_p + e_q - 2 e_r) of the lines x_p - x_q = c in H, n = 3
+_DIRECTIONS = ((1, 1, -2), (-1, -1, 2), (1, -2, 1), (-1, 2, -1), (-2, 1, 1), (2, -1, -1))
+
+
+def _piece_generators(piece) -> tuple:
+    """Vertices and recession directions of a piece {x in H : rows}, n = 3.
+
+    A row (a at p, -a at q; r) is the edge x_p - x_q <= r/a, closed at the
+    scale L, the lcm of the a's.  A polytrope's vertices in n = 3 are among
+    its finite negated rows and finite columns (Joswig-Kulas 2010); one is a
+    vertex when two rows that are not parallel are tight at it, and vertices
+    are listed by the first such pair (i, j), since drawing sums their float
+    coordinates in list order.  The directions are those of _DIRECTIONS that
+    keep every finite bound.
+    """
+    edges = [(c.index(max(c)), c.index(-max(c)), max(c), r) for c, r in piece]
+    L = lcm(*(a for _, _, a, _ in edges))
+    D = _close(_free(3), [(p, q, r * (L // a)) for p, q, a, r in edges], 1)
+    points = [[-(b >> 1) for b in row] for row in D if None not in row]
+    points += [[b >> 1 for b in col] for col in zip(*D) if None not in col]
+    lines = [{p, q} for p, q, _, _ in edges]
+    keyed = []
+    for u in {tuple(x - v[0] for x in v) for v in points}:
+        tight = [k for k, (p, q, a, r) in enumerate(edges) if a * (u[p] - u[q]) == r * L]
+        pairs = [(i, j) for i in tight for j in tight if i < j and lines[i] != lines[j]]
+        if pairs:
+            keyed.append((pairs[0], u))
+    finite = [(p, q) for p, row in enumerate(D) for q, b in enumerate(row) if b is not None]
+    rays = [d for d in _DIRECTIONS if all(d[p] <= d[q] for p, q in finite)]
+    return [_decode(u, L) for _, u in sorted(keyed)], rays
+
+
 # ---------------------------------------------------------------------------
 # regions
 
@@ -202,9 +241,8 @@ def region_contains(r: VoronoiRegion, x: HPoint) -> bool:
 
 def _extreme_points(closures: Sequence[list], L: int):
     """Tropical extreme points of the union of bounded closed pieces, sorted."""
-    candidates = {
-        normalize_to_H([Fraction(-(b >> 1), L) for b in row]) for D in closures for row in D
-    }
+    rows = {tuple(-(b >> 1) for b in row) for D in closures for row in D}
+    candidates = {_decode(v, L) for v in rows}
     members = sorted(candidates, key=lambda g: g.coords)
     if len(members) <= 1:
         return tuple(members)
@@ -294,6 +332,21 @@ def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
         raise ValueError("label must be a nonempty subset of site indices")
     table, L = _site_halfspaces(S, label)
     return _cell(S.n, label, [table[s] for s in label], L)[0]
+
+
+def sufficiently_generic(S: SiteSet):
+    """Every pair of sites with intersecting regions differs everywhere.
+
+    Returns (True, None) or (False, (i, j, k)) naming the offending pair and
+    the shared coordinate.
+    """
+    for i, j in combinations(range(len(S)), 2):
+        shared = next((k for k in range(S.n) if S[i][k] == S[j][k]), None)
+        if shared is None:
+            continue
+        if cell(S, (i, j)).dim >= 0:
+            return False, (i, j, shared)
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cramer_pieces
+from tropvor import cli
 from tropvor.cli import main
-from tropvor.voronoi import region_from_json
+from tropvor.sites import SiteSet, sites_from_json
+from tropvor.tropcore import normalize_to_H
+from tropvor.voronoi import _piece_generators, region_from_json, voronoi_diagram
 
 L2_LATTICE = {"n": 3, "basis": [["2", "-2", "0"], ["-1", "2", "-1"]], "radius": 3}
 GENERIC_PAIR = {"n": 3, "sites": [["-6", "-5", "11"], ["-5", "12", "-7"]]}
@@ -174,3 +182,46 @@ def test_stdout_when_no_output_path(tmp_path, capsys):
     assert main(["delone", "--input", src]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["facets"] == [[0, 1, 2]]
+
+
+# ---------------------------------------------------------------------------
+# SVG pieces read off the closed matrix, against the pairwise Cramer search
+
+
+@st.composite
+def tied_site_sets(draw):
+    """2-6 distinct sites in n = 3 with small, often shared, coordinates,
+    some of them half-integers."""
+    span = draw(st.integers(1, 12))
+    coord = st.builds(Fraction, st.integers(-span, span), st.sampled_from((1, 1, 2)))
+    point = st.lists(coord, min_size=3, max_size=3).map(normalize_to_H)
+    return SiteSet(draw(st.lists(point, min_size=2, max_size=6, unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_site_sets())
+def test_piece_generators_match_the_cramer_search(S):
+    for c in voronoi_diagram(S).cells:
+        for piece in c.pieces:
+            verts, rays = _piece_generators(piece)
+            old_verts, old_rays = cramer_pieces._piece_generators(piece)
+            assert bool(rays) == bool(old_rays)
+            if verts:
+                assert [v.coords for v in verts] == old_verts
+            else:
+                # only the reference's fallback point, on a piece without a
+                # vertex, and such pieces lie in two-dimensional cells
+                assert old_rays and len(old_verts) == 1 and c.dim >= 2
+            if c.dim <= 1:
+                assert verts and rays == old_rays and len(rays) <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_site_sets())
+@example(sites_from_json(GENERIC_PAIR))
+@example(sites_from_json(DEGENERATE_PAIR))
+@example(sites_from_json(CYCLIC))
+def test_render_bytes_match_the_cramer_search(S):
+    new = cli._render("sites", S, S, 400, 400)
+    with patch.object(cli, "_piece_generators", cramer_pieces._piece_generators):
+        assert cli._render("sites", S, S, 400, 400) == new
