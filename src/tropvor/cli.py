@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import atan2, sqrt
 from random import Random
@@ -69,7 +68,7 @@ def _parse_payload(data: dict):
             if not data["sites"]:
                 return "empty", int(data["n"])
             return "sites", sites_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(str(exc)) from exc
     raise MalformedInput("neither a site file nor a lattice file")
 
@@ -258,8 +257,9 @@ def _dispatch(args, kind, payload) -> str:
     elif args.subcommand == "hull":
         out = complex_to_json(hull_complex(S))
     else:
-        seed = int(os.environ.get("TROPVOR_SEED", "0"))
-        out = verify_lift(S, rng=Random(seed))
+        # verify_lift draws nothing from the rng; giving one only adds the
+        # three random pool members to containment_samples
+        out = verify_lift(S, rng=Random(0))
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 

@@ -132,6 +132,9 @@ def test_malformed_inputs_exit_2(tmp_path):
     assert main(["region", "--input", str(tmp_path / "absent.json")]) == 2
     assert run(tmp_path, "region", {"n": 3})[0] == 2
     assert run(tmp_path, "region", {"n": 3, "sites": [["1", "oops", "-1"]]})[0] == 2
+    assert run(tmp_path, "region", {"n": 3, "sites": [["1/0", "0", "0"]]})[0] == 2
+    zero_den = {"n": 3, "basis": [["1/0", "-1", "0"], ["0", "1", "-1"]], "radius": 1}
+    assert run(tmp_path, "region", zero_den)[0] == 2
     broken = tmp_path / "broken.json"
     broken.write_text("[1, 2")
     assert main(["region", "--input", str(broken)]) == 2

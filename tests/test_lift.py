@@ -10,9 +10,11 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pool_checker
+from tropvor import lift
 from tropvor._lp import ThresholdLedger, zp_mul, zp_neg
 from tropvor.exactnum import RF_ONE, RF_ZERO, RatFun, clear_ratfun_row, ratfun_of_zpoly, valstar
 from tropvor.lift import (
@@ -419,6 +421,58 @@ def test_verify_lift_canonical_relabelling_on_both_sides():
 def test_verify_lift_rejects_degenerate_pair():
     with pytest.raises(ValueError, match="precondition: genericity"):
         verify_lift(sites((-5, -5, 10), (-5, 10, -5)))
+
+
+def _report_or_error(check, S, seed):
+    try:
+        rep = check(S, rng=None if seed is None else random.Random(seed))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return json.dumps(rep, sort_keys=True)
+
+
+@st.composite
+def small_site_sets(draw):
+    # half-integers from a small range: some pairs share a coordinate, so
+    # both the general-position and the sufficiently-generic path run, and
+    # the precondition fails on some sets
+    n = draw(st.integers(3, 4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-8, 8), min_size=n - 1, max_size=n - 1).map(
+                lambda r: tuple(Fraction(c, 2) for c in r)
+            ),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return SiteSet([HPoint(r + (-sum(r),)) for r in rows])
+
+
+@given(small_site_sets(), st.none() | st.integers(0, 2**16))
+@example(sites((3, -6, 3), (3, 4, -7), (5, -1, -4)), 5)  # shares a coordinate, yet generic
+@example(sites((-5, -5, 10), (-5, 10, -5)), None)  # not sufficiently generic
+@settings(max_examples=40, deadline=None)
+def test_verify_lift_matches_the_sampling_checker(S, seed):
+    assert _report_or_error(verify_lift, S, seed) == _report_or_error(
+        pool_checker.verify_lift, S, seed
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_forced_escapes_match_the_sampling_checker(monkeypatch, seed):
+    # every sample and every ray escapes: the failure lists must agree in
+    # order and repetition, one sample line per counted pool member
+    for module in (lift, pool_checker):
+        monkeypatch.setattr(module, "region_contains", lambda r, pt: False)
+        monkeypatch.setattr(module, "_contains_extended", lambda h, vals: False)
+    S = sites(*CERTIFIED_TRIOS[0][0])
+    got = _report_or_error(verify_lift, S, seed)
+    assert got == _report_or_error(pool_checker.verify_lift, S, seed)
+    report = json.loads(got)
+    assert report["containment_samples"] > 0
+    assert any(f.startswith("sample of region") for f in report["failures"])
 
 
 # ---------------------------------------------------------------------------
