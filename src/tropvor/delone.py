@@ -2,8 +2,15 @@
 
 Two regions are adjacent when their common cell has codimension at most one
 inside H, the only ambient space where regions are full-dimensional.  The
-Delone complex is literally the clique complex of that graph.  On the lifted
-side, the bounded faces of conv(t^{-s}) + orthant form the hull complex of
+Delone complex is literally the clique complex of that graph.  Adjacency and
+boundedness are decided by pruned prefix searches over the pieces of each
+site's signature-reduced halfspaces, and no piece is kept: every piece is a
+polytrope, and adding bounds to a closed difference-bound matrix never
+raises its dimension or makes it unbounded, so a pair search stops at the
+first piece of dimension >= n - 2 and drops every prefix already below it,
+and a boundedness search accepts every prefix that is already bounded.
+
+On the lifted side, the bounded faces of conv(t^{-s}) + orthant form the hull complex of
 the monomial module generated by the x^(-s).  When every pair of sites
 differs in every coordinate, that module is generic and its hull complex is
 its Scarf complex (Bayer-Sturmfels 1998; Miller-Sturmfels, ch. 6), read off
@@ -26,7 +33,14 @@ from itertools import combinations
 
 from .lift import _power_walk, monomial_lift
 from .sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet, check_general_position
-from .voronoi import _cell, _site_halfspaces, region, sufficiently_generic, voronoi_diagram
+from .voronoi import (
+    _all_bounded,
+    _choices,
+    _has_piece,
+    _site_halfspaces,
+    sufficiently_generic,
+    voronoi_diagram,
+)
 
 
 @dataclass(frozen=True)
@@ -64,16 +78,26 @@ def complex_to_json(C: SimplicialComplex) -> dict:
     }
 
 
+def _site_choices(S: SiteSet) -> list:
+    """Each site's halfspaces as edge choices, at one scale for all sites."""
+    table, L = _site_halfspaces(S, range(len(S)))
+    return [[_choices(h, S.n, L) for h in table[s]] for s in range(len(S))]
+
+
+def _edges(S: SiteSet, choices: list) -> tuple:
+    """Pairs of sites whose common cell has dimension >= n - 2."""
+    return tuple(
+        (i, j)
+        for i, j in combinations(range(len(S)), 2)
+        if _has_piece(choices[i] + choices[j], S.n, S.n - 2)
+    )
+
+
 def dual_graph(S: SiteSet) -> DualGraph:
     """Edges between regions whose intersection has codimension <= 1 in H."""
     if len(S) > SITE_CAP:
         raise ValueError("instance too large")
-    table, L = _site_halfspaces(S, range(len(S)))
-    edges = []
-    for i, j in combinations(range(len(S)), 2):
-        if _cell(S.n, (i, j), [table[i], table[j]], L)[0].dim >= S.n - 2:
-            edges.append((i, j))
-    return DualGraph(tuple(range(len(S))), tuple(edges))
+    return DualGraph(tuple(range(len(S))), _edges(S, _site_choices(S)))
 
 
 def _max_cliques(nodes, adj) -> list:
@@ -101,14 +125,16 @@ def delone_complex(S: SiteSet) -> SimplicialComplex:
     window produced S, so faces involving it may change under a larger
     window; those sites are listed as provisional.
     """
-    G = dual_graph(S)
-    adj = {v: set() for v in G.nodes}
-    for a, b in G.edges:
+    if len(S) > SITE_CAP:
+        raise ValueError("instance too large")
+    choices = _site_choices(S)
+    nodes = range(len(S))
+    adj = {v: set() for v in nodes}
+    for a, b in _edges(S, choices):
         adj[a].add(b)
         adj[b].add(a)
-    facets = _max_cliques(G.nodes, adj)
-    provisional = [i for i in G.nodes if not region(S, i).bounded]
-    return SimplicialComplex(G.nodes, facets, provisional)
+    provisional = [i for i in nodes if not _all_bounded(choices[i], S.n)]
+    return SimplicialComplex(nodes, _max_cliques(nodes, adj), provisional)
 
 
 # ---------------------------------------------------------------------------

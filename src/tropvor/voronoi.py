@@ -168,6 +168,45 @@ def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, L: int):
     return out
 
 
+# Every piece below a prefix lies in the polytrope of the prefix's closure,
+# and adding edges to a closed matrix never raises its dimension and never
+# makes it unbounded, so the two searches below prune whole subtrees.
+
+
+def _has_piece(choices: Sequence[list], n: int, want: int) -> bool:
+    """Is the cell of these halfspace choices of dimension >= want?  Its
+    dimension is the largest of a nonempty piece, -1 when there is none."""
+
+    def rec(idx: int, D: list) -> bool:
+        if _dim(D) < want:
+            return False
+        if idx == len(choices):
+            return True
+        return any(
+            E is not None and rec(idx + 1, E)
+            for E in (_close(D, edges, 1) for edges, _ in choices[idx])
+        )
+
+    return want < 0 or rec(0, _free(n))
+
+
+def _all_bounded(choices: Sequence[list], n: int) -> bool:
+    """Is every nonempty piece of these halfspace choices bounded?  With no
+    halfspace at all, the one piece is all of H, which is unbounded."""
+
+    def rec(idx: int, D: list) -> bool:
+        if _bounded(D):
+            return True
+        if idx == len(choices):
+            return False
+        return all(
+            E is None or rec(idx + 1, E)
+            for E in (_close(D, edges, 1) for edges, _ in choices[idx])
+        )
+
+    return rec(0, _free(n))
+
+
 def _inside(D: list, complements: list) -> bool:
     """Does the piece D lie in the halfspace with these complement edges?"""
     return all(_close(D, edges, 0) is None for edges in complements)

@@ -109,6 +109,14 @@ def test_cap_option_bounds_instance_size(tmp_path):
     assert code == 3
 
 
+def test_delone_above_the_site_cap_exits_3(tmp_path, capsys):
+    thirteen = {"n": 3, "sites": [[str(k), str(-k), "0"] for k in range(13)]}
+    code, text = run(tmp_path, "delone", thirteen)
+    assert code == 3
+    assert text is None
+    assert "instance too large" in capsys.readouterr().err
+
+
 def test_radius_override(tmp_path):
     # radius 1 shrinks the window to {0, (1,0,-1), (-1,0,1)}
     code, text = run(tmp_path, "region", L2_LATTICE, "--radius", "1")

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cell_delone
 from subset_hull import subset_hull_facets
 from tropvor.delone import (
     DualGraph,
     SimplicialComplex,
+    _edges,
     _maximal,
+    _site_choices,
     complex_to_json,
     delone_complex,
     dual_graph,
@@ -23,6 +26,7 @@ from tropvor.delone import (
 )
 from tropvor.lift import _power_walk, monomial_lift
 from tropvor.sites import (
+    SITE_CAP,
     LatticeWindow,
     SiteSet,
     check_general_position,
@@ -30,7 +34,7 @@ from tropvor.sites import (
     signature_reduce,
 )
 from tropvor.tropcore import HPoint
-from tropvor.voronoi import cell, label_lattice
+from tropvor.voronoi import _all_bounded, cell, label_lattice, region
 
 
 def H(*cs):
@@ -45,6 +49,11 @@ def combo_block(b0, b1):
     """The nine integer combinations i*b0 + j*b1 with i, j in {-1, 0, 1}."""
     steps = (-1, 0, 1)
     return SiteSet([H(*(i * x + j * y for x, y in zip(b0, b1))) for i in steps for j in steps])
+
+
+def moment_sites(count):
+    """Sites (k, k^2, -k - k^2): every pair differs in every coordinate."""
+    return sites(*[(k, k * k, -k - k * k) for k in range(count)])
 
 
 def a2_window():
@@ -142,11 +151,15 @@ def test_a2_window_dual_graph_and_complex():
                 assert (F[i], F[j]) in edge_set
 
 
-def test_dual_graph_reduces_each_site_once(monkeypatch):
-    # the "plus" block: the origin and its four neighbours along two bases
+def plus_block():
+    """The origin and its four neighbours along two bases."""
     b0, b1 = (2, -2, 0), (-1, 2, -1)
     steps = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
-    S = SiteSet([H(*(i * x + j * y for x, y in zip(b0, b1))) for i, j in steps])
+    return SiteSet([H(*(i * x + j * y for x, y in zip(b0, b1))) for i, j in steps])
+
+
+def test_dual_graph_reduces_each_site_once(monkeypatch):
+    S = plus_block()
     facets = delone_complex(S).facets
     calls = []
 
@@ -154,9 +167,28 @@ def test_dual_graph_reduces_each_site_once(monkeypatch):
         calls.append(s)
         return signature_reduce(S, s)
 
+    def no_region(*args):
+        raise AssertionError("delone_complex built a region")
+
     monkeypatch.setattr("tropvor.voronoi.signature_reduce", counted)
+    monkeypatch.setattr("tropvor.voronoi.region", no_region)
     assert delone_complex(S).facets == facets
-    assert len(calls) <= 10
+    assert sorted(calls) == list(range(len(S)))
+
+
+def test_delone_rejects_too_many_sites_before_any_reduction(monkeypatch):
+    S = sites(*[(k, -k, 0) for k in range(SITE_CAP + 1)])
+    calls = []
+
+    def counted(S, s):
+        calls.append(s)
+        return signature_reduce(S, s)
+
+    monkeypatch.setattr("tropvor.voronoi.signature_reduce", counted)
+    for entry in (delone_complex, dual_graph):
+        with pytest.raises(ValueError, match="instance too large"):
+            entry(S)
+    assert calls == []
 
 
 def test_collinear_trio_is_one_triangle():
@@ -182,6 +214,72 @@ def test_pair_complex_is_single_edge(head):
     D = delone_complex(SiteSet([H(0, 0, 0), a]))
     assert D.facets == ((0, 1),)
     assert D.dim == 1
+
+
+# ---------------------------------------------------------------------------
+# the pruned searches against full cells and regions
+
+
+def perturbed_block():
+    e = Fraction(1, 10)
+    return combo_block((2 + 2 * e, -2 - e, -e), (-1 - e, 2 + 2 * e, -1 - e))
+
+
+def assert_matches_the_cell_reference(S):
+    """Edges and provisional sites from the pruned searches equal those from
+    full pair cells and regions; the public entry points too within the cap."""
+    choices = _site_choices(S)
+    assert _edges(S, choices) == cell_delone.pair_edges(S)
+    for s in range(len(S)):
+        assert _all_bounded(choices[s], S.n) == region(S, s).bounded
+    if len(S) <= SITE_CAP:
+        assert dual_graph(S) == cell_delone.dual_graph(S)
+        assert delone_complex(S) == cell_delone.delone_complex(S)
+
+
+def lattice_window(b0, b1, radius):
+    return lattice_points(LatticeWindow([H(*b0), H(*b1)], radius))[0]
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        CYCLIC,
+        sites((0, 0, 0), (1, -1, 0), (2, -2, 0)),
+        sites((0, 0, 0), (5, -5, 0)),
+        sites((0, 0, 0)),
+        a2_window(),
+        plus_block(),
+        combo_block((2, -2, 0), (-1, 2, -1)),
+        perturbed_block(),
+        combo_block((22, -21, -1), (-11, 22, -11)),
+        lattice_window((2, -2, 0), (-1, 2, -1), 3),
+        lattice_window((1, -1, 0), (0, 1, -1), 2),
+        moment_sites(12),
+        *CLIQUE_COUNTEREXAMPLES,
+    ],
+    ids=[
+        "cyclic", "collinear", "pair", "singleton", "a2 radius 1", "plus", "block",
+        "perturbed block", "scaled block", "L2 radius 3", "a2 radius 2", "moment 12",
+        "clique5", "clique4a", "clique4b",
+    ],
+)
+def test_pruned_searches_match_the_cell_reference_on_fixtures(S):
+    assert_matches_the_cell_reference(S)
+
+
+def rational_sites(n, min_size, max_size):
+    """Distinct rational points on H with small numerators and denominators."""
+    coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    return st.lists(
+        st.tuples(*[coord] * (n - 1)), min_size=min_size, max_size=max_size, unique=True
+    ).map(lambda rows: SiteSet([H(*r, -sum(r)) for r in rows]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational_sites(3, 2, 7), rational_sites(4, 2, 5), integer_sites(3, -2, 2, 2, 6)))
+def test_pruned_searches_match_the_cell_reference_on_random_sets(S):
+    assert_matches_the_cell_reference(S)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +411,6 @@ def strongly_generic_sites(n, min_size, max_size):
 def walk_facets(S):
     labels, _, _ = _power_walk([monomial_lift(s) for s in S])
     return SimplicialComplex(range(len(S)), _maximal(labels)).facets
-
-
-def moment_sites(count):
-    """Sites (k, k^2, -k - k^2): every pair differs in every coordinate."""
-    return sites(*[(k, k * k, -k - k * k) for k in range(count)])
 
 
 @settings(max_examples=30, deadline=None)

@@ -34,14 +34,18 @@ from tropvor.voronoi import (
     DiagramCell,
     VoronoiRegion,
     _bounded,
+    _cell,
+    _choices,
     _close,
     _complements,
     _difference_row,
     _dim,
     _free,
+    _has_piece,
     _inside,
     _pieces,
     _scale,
+    _site_halfspaces,
     cell,
     classify,
     diagram_to_json,
@@ -579,3 +583,54 @@ def test_region_generators_match_the_term_hyperplane_reference():
         r = region(S, 0)
         assert r.bounded
         assert r.generators == reference_generators(r)
+
+
+# ---------------------------------------------------------------------------
+# the pruned dimension probe against full piece enumeration
+
+
+def probe_matches_the_cell(S, label) -> int:
+    """Check _has_piece against the dimension of the enumerated cell of a
+    sorted label for every want from -1 to n - 1; returns that dimension."""
+    table, L = _site_halfspaces(S, label)
+    choices = [_choices(h, S.n, L) for s in label for h in table[s]]
+    dim = _cell(S.n, label, [table[s] for s in label], L)[0].dim
+    for want in range(-1, S.n):
+        assert _has_piece(choices, S.n, want) == (dim >= want), (label, want, dim)
+    return dim
+
+
+@st.composite
+def labelled_rational_sites(draw):
+    """(S, label): 3 to 5 distinct rational sites in n = 3 or 4, and a sorted
+    label of 2 or 3 of them."""
+    n = draw(st.integers(3, 4))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    heads = draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=3, max_size=5, unique=True))
+    S = SiteSet([H(*r, -sum(r)) for r in heads])
+    label = draw(st.lists(st.integers(0, len(S) - 1), min_size=2, max_size=3, unique=True))
+    return S, tuple(sorted(label))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_rational_sites())
+def test_dimension_probe_matches_the_enumerated_cell(case):
+    probe_matches_the_cell(*case)
+
+
+def test_dimension_probe_on_a2_labels():
+    A2r1, _ = lattice_points(LatticeWindow([H(1, -1, 0), H(0, 1, -1)], 1))
+    dims = [
+        probe_matches_the_cell(A2r1, label)
+        for size in (2, 3)
+        for label in combinations(range(len(A2r1)), size)
+    ]
+    # empty, point, segment and two-dimensional cells all occur
+    assert set(dims) == {-1, 0, 1, 2}
+    # the triple point of test_cell_a2_triple_point on the radius-2 window
+    S = a2_window()
+    idx = {tuple(map(int, p)): i for i, p in enumerate(S)}
+    label = tuple(sorted({idx[(0, 0, 0)], idx[(1, -1, 0)], idx[(1, 0, -1)]}))
+    assert probe_matches_the_cell(S, label) == 0
+    # no halfspace at all: the one piece is all of H
+    assert probe_matches_the_cell(S, ()) == 2
