@@ -18,6 +18,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .delone import complex_to_json, delone_complex, hull_complex
+from .exactnum import rat_from_str
 from .lift import verify_lift
 from .sites import LatticeWindow, SiteSet, lattice_points, sites_from_json
 from .tropcore import hpoint_from_json
@@ -52,6 +53,14 @@ def _load(path: str) -> dict:
     return data
 
 
+def _integer(value) -> int:
+    """An integer field of the input, read as exactly as a coordinate."""
+    x = rat_from_str(value)
+    if x.denominator != 1:
+        raise ValueError(f"integer expected, got {value!r}")
+    return x.numerator
+
+
 def _parse_payload(data: dict):
     """Classify the input file by schema.
 
@@ -63,10 +72,11 @@ def _parse_payload(data: dict):
     try:
         if "basis" in data:
             basis = [hpoint_from_json(row) for row in data["basis"]]
-            return "lattice", (basis, int(data["radius"]), int(data["n"]))
+            return "lattice", (basis, _integer(data["radius"]), _integer(data["n"]))
         if "sites" in data:
+            n = _integer(data["n"])
             if not data["sites"]:
-                return "empty", int(data["n"])
+                return "empty", n
             return "sites", sites_from_json(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(str(exc)) from exc
@@ -236,6 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, kind, payload) -> str:
     if args.subcommand == "render":
+        if args.width <= 0 or args.height <= 0:
+            raise ValueError("width and height must be positive")
         S = None if kind == "empty" else _site_set(kind, payload, args.radius)
         if S is not None and args.cap is not None and len(S) > args.cap:
             raise ValueError("size cap exceeded")

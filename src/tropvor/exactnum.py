@@ -53,6 +53,9 @@ def rat_to_str(x: Rat) -> str:
 
 
 def rat_from_str(s: str) -> Rat:
+    """A rational from a string or an int; floats and bools are not exact."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise TypeError(f"exact rational expected, got {s!r}")
     return Fraction(s)
 
 

@@ -38,7 +38,6 @@ from ._lp import (
     ZPoly,
     lp_affine_dim,
     lp_det,
-    lp_rank,
     lp_strictly_feasible,
     zp_add,
     zp_content,
@@ -49,15 +48,12 @@ from ._lp import (
     zp_sign,
 )
 from .exactnum import (
-    RF_ONE,
     RF_ZERO,
     Rat,
     RatFun,
-    SingularSystemError,
     clear_rat_row,
     clear_ratfun_row,
     of_eval_at,
-    of_solve_linear,
     ratfun_of_zpoly,
     valstar,
 )
@@ -102,21 +98,24 @@ class OFVector:
 
 @dataclass(frozen=True)
 class OFHalfspace:
-    """The set {x : sum(coefficients_i * x_i) + offset <= 0}.
+    """The linear halfspace {x : sum(coefficients_i * x_i) <= 0}.
 
-    Power halfspaces are homogeneous; the offset exists so that affine
-    polyhedra (bounded test cases) share the generator enumeration.
+    Every power halfspace passes through the origin; offset is that constant
+    zero, kept readable.
     """
 
     coefficients: OFVector
-    offset: Scalar = RF_ZERO
+    offset = RF_ZERO
 
 
 @dataclass(frozen=True)
 class OFPolyhedron:
+    """The cone cut out of the nonnegative orthant of the field by linear
+    halfspaces; include_orthant is that constant True, kept readable."""
+
     n: int
     halfspaces: tuple
-    include_orthant: bool = True
+    include_orthant = True
 
     @property
     def scale(self) -> int:
@@ -148,8 +147,7 @@ def power_halfspace(a_lift: OFVector, b_lift: OFVector) -> OFHalfspace:
     if a_lift.coords == b_lift.coords:
         raise ValueError("coincident lifts")
     deltas = tuple(x - y for x, y in zip(a_lift.coords, b_lift.coords))
-    zero = RF_ZERO if isinstance(deltas[0], RatFun) else Fraction(0)
-    return OFHalfspace(OFVector(deltas, a_lift.scale), zero)
+    return OFHalfspace(OFVector(deltas, a_lift.scale))
 
 
 def power_region(lifts: Sequence[OFVector], a: int) -> OFPolyhedron:
@@ -157,7 +155,7 @@ def power_region(lifts: Sequence[OFVector], a: int) -> OFPolyhedron:
     if len(set(v.coords for v in lifts)) != len(lifts):
         raise ValueError("coincident lifts")
     hs = [power_halfspace(lifts[a], b) for i, b in enumerate(lifts) if i != a]
-    return OFPolyhedron(lifts[a].n, tuple(hs), include_orthant=True)
+    return OFPolyhedron(lifts[a].n, tuple(hs))
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +163,6 @@ def power_region(lifts: Sequence[OFVector], a: int) -> OFPolyhedron:
 
 def _as_ratfun(c: Scalar) -> RatFun:
     return c if isinstance(c, RatFun) else RatFun.from_rat(c)
-
-
-def _rows_of(P: OFPolyhedron):
-    rows = [
-        ([_as_ratfun(c) for c in h.coefficients.coords], _as_ratfun(h.offset))
-        for h in P.halfspaces
-    ]
-    if P.include_orthant:
-        for i in range(P.n):
-            coeffs = [RF_ZERO] * P.n
-            coeffs[i] = -RF_ONE
-            rows.append((coeffs, RF_ZERO))
-    return rows
-
-
-def _row_value_sign(coeffs, offset, x) -> int:
-    acc = offset
-    for c, xi in zip(coeffs, x):
-        acc = acc + c * xi
-    return acc.sign()
 
 
 def _zp_dot_sign(row, d) -> int:
@@ -240,39 +218,22 @@ def _primitive(d: Sequence[ZPoly]) -> tuple:
 
 
 def of_polyhedron_generators(P: OFPolyhedron):
-    """Vertices and extreme rays by brute-force basic-solution enumeration.
+    """The vertex and the extreme rays of a cone in the orthant.
 
-    Vertex solves run only on inhomogeneous systems; a cone's sole candidate
-    vertex is the origin, basic exactly when the rows have full rank.  Ray
-    directions come from Cramer minors over integer-polynomial rows, so the
-    enumeration never divides in the function field.
+    The orthant rows have rank n, so the origin is the one vertex.  A ray
+    spans the kernel of n - 1 rows and keeps every row; its direction comes
+    from Cramer minors over integer-polynomial rows, so the enumeration never
+    divides in the function field.  No nonzero direction is orthogonal to
+    every -e_i, so the cone is pointed.
     """
     n = P.n
-    rows = _rows_of(P)
-    if len(rows) > GEN_CONSTRAINT_CAP or n > DIM_CAP:
+    if len(P.halfspaces) + n > GEN_CONSTRAINT_CAP or n > DIM_CAP:
         raise ValueError("size cap exceeded")
-    zrows = [clear_ratfun_row(coeffs) for coeffs, _ in rows]
-
-    vertices: list = []
-    if all(off.is_zero() for _, off in rows):
-        if lp_rank(zrows, POLY_RING) == n:
-            vertices.append(tuple([RF_ZERO] * n))
-    else:
-        seen_pts = set()
-        for sub in combinations(range(len(rows)), n):
-            A = [rows[i][0] for i in sub]
-            b = [-rows[i][1] for i in sub]
-            try:
-                x = of_solve_linear(A, b)
-            except SingularSystemError:
-                continue
-            pt = tuple(x)
-            if pt in seen_pts:
-                continue
-            if all(_row_value_sign(c, off, x) <= 0 for c, off in rows):
-                seen_pts.add(pt)
-                vertices.append(pt)
-        vertices.sort()
+    zrows = [
+        clear_ratfun_row([_as_ratfun(c) for c in h.coefficients.coords]) for h in P.halfspaces
+    ]
+    # the orthant, -x_i <= 0
+    zrows += [tuple({0: -1} if j == i else {} for j in range(n)) for i in range(n)]
 
     rays: list = []
     seen_rays = set()
@@ -281,13 +242,9 @@ def of_polyhedron_generators(P: OFPolyhedron):
         if d is None:
             continue
         dots = [_zp_dot_sign(row, d) for row in zrows]
-        fwd = all(s <= 0 for s in dots)
-        bwd = all(s >= 0 for s in dots)
-        if fwd and bwd:
-            raise ValueError("cone is not pointed")
-        if bwd:
+        if all(s >= 0 for s in dots):
             d = [zp_neg(p) for p in d]
-        elif not fwd:
+        elif not all(s <= 0 for s in dots):
             continue
         key = _primitive(d)
         if key not in seen_rays:
@@ -296,10 +253,7 @@ def of_polyhedron_generators(P: OFPolyhedron):
     rays.sort()
 
     scale = P.scale
-    return (
-        [OFVector(v, scale) for v in vertices],
-        [OFVector(r, scale) for r in rays],
-    )
+    return [OFVector([RF_ZERO] * n, scale)], [OFVector(r, scale) for r in rays]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ bit, and every decision is exact.  The closure decides everything.  A
 piece is empty when it has a negative cycle or a zero cycle through a
 strict bound; its dimension in H is its number of zero-cycle classes minus
 one; it is bounded when every bound is finite; and it lies in a halfspace
-when every strict complement piece added to it is empty.
+when every strict complement piece added to it is empty.  One lazy search
+lists the pieces, and a question stops it at the first piece that settles it.
 
 A polytrope is the tropical hull of its Kleene-star generators, the negated
 rows of its closed matrix.  A bounded region is the union of its pieces and
@@ -149,62 +150,43 @@ def _complements(h: TropicalHalfspace, L: int) -> list:
     return [[(j, i, ci - dj) for j, dj in zip(h.J, d)] for i, ci in zip(h.I, c)]
 
 
-def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, L: int):
-    """Nonempty pieces of the intersection as (integer rows, closed matrix)
-    pairs, one per choice of right term in each halfspace, pruned by prefix."""
-    choices = [_choices(h, n, L) for h in halfspaces]
-    out: list = []
-
-    def rec(idx: int, rows: tuple, D: list) -> None:
+def _search(choices: Sequence[list], n: int, keep: Optional[Callable] = None):
+    """Nonempty pieces of these halfspace choices as (integer rows, closed
+    matrix) pairs, depth first in choice order.  A prefix whose closure fails
+    keep is dropped with every piece below it, which lies in that closure's
+    polytrope: adding edges to a closed matrix never raises its dimension and
+    never makes it unbounded.  Siblings are pushed in reverse, so pieces come
+    out in the order of a recursive search.
+    """
+    stack = [(0, (), _free(n))]
+    while stack:
+        idx, rows, D = stack.pop()
+        if keep is not None and not keep(D):
+            continue
         if idx == len(choices):
-            out.append((rows, D))
-            return
-        for edges, piece_rows in choices[idx]:
+            yield rows, D
+            continue
+        for edges, piece_rows in reversed(choices[idx]):
             E = _close(D, edges, 1)
             if E is not None:
-                rec(idx + 1, rows + piece_rows, E)
-
-    rec(0, (), _free(n))
-    return out
+                stack.append((idx + 1, rows + piece_rows, E))
 
 
-# Every piece below a prefix lies in the polytrope of the prefix's closure,
-# and adding edges to a closed matrix never raises its dimension and never
-# makes it unbounded, so the two searches below prune whole subtrees.
+def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, L: int):
+    """Every nonempty piece of the intersection, in search order."""
+    return list(_search([_choices(h, n, L) for h in halfspaces], n))
 
 
 def _has_piece(choices: Sequence[list], n: int, want: int) -> bool:
     """Is the cell of these halfspace choices of dimension >= want?  Its
     dimension is the largest of a nonempty piece, -1 when there is none."""
-
-    def rec(idx: int, D: list) -> bool:
-        if _dim(D) < want:
-            return False
-        if idx == len(choices):
-            return True
-        return any(
-            E is not None and rec(idx + 1, E)
-            for E in (_close(D, edges, 1) for edges, _ in choices[idx])
-        )
-
-    return want < 0 or rec(0, _free(n))
+    return want < 0 or any(_search(choices, n, lambda D: _dim(D) >= want))
 
 
 def _all_bounded(choices: Sequence[list], n: int) -> bool:
     """Is every nonempty piece of these halfspace choices bounded?  With no
     halfspace at all, the one piece is all of H, which is unbounded."""
-
-    def rec(idx: int, D: list) -> bool:
-        if _bounded(D):
-            return True
-        if idx == len(choices):
-            return False
-        return all(
-            E is None or rec(idx + 1, E)
-            for E in (_close(D, edges, 1) for edges, _ in choices[idx])
-        )
-
-    return rec(0, _free(n))
+    return not any(_search(choices, n, lambda D: not _bounded(D)))
 
 
 def _inside(D: list, complements: list) -> bool:
@@ -213,10 +195,12 @@ def _inside(D: list, complements: list) -> bool:
 
 
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
-    """Is the intersection of the others already inside h?"""
+    """Is the intersection of the others already inside h?  The search stops
+    at the first piece outside h."""
     L = _scale([h, *others])
     complements = _complements(h, L)
-    return all(_inside(D, complements) for _, D in _pieces(others, h.n, L))
+    choices = [_choices(g, h.n, L) for g in others]
+    return all(_inside(D, complements) for _, D in _search(choices, h.n))
 
 
 def _decode(values: Sequence[int], L: int) -> HPoint:

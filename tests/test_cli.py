@@ -146,6 +146,24 @@ def test_malformed_inputs_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("[1, 2")
     assert main(["region", "--input", str(broken)]) == 2
+    # JSON floats and booleans are not exact data
+    floats = {"n": 3, "sites": [[0.1, -0.1, 0], ["1", "-1", "0"]]}
+    assert run(tmp_path, "region", floats)[0] == 2
+    assert run(tmp_path, "region", {"n": 3, "sites": [[True, False, "-1"]]})[0] == 2
+    assert run(tmp_path, "region", {**L2_LATTICE, "radius": 2.9})[0] == 2
+    assert run(tmp_path, "region", {**L2_LATTICE, "radius": True})[0] == 2
+    assert run(tmp_path, "region", {**L2_LATTICE, "radius": "5/2"})[0] == 2
+    assert run(tmp_path, "region", {**GENERIC_PAIR, "n": 3.0})[0] == 2
+    assert run(tmp_path, "region", {"n": True, "sites": []})[0] == 2
+    # JSON integers and integer strings stay exact
+    assert run(tmp_path, "region", {"n": 3, "sites": [[1, -1, 0], [0, 1, -1]]})[0] == 0
+    assert run(tmp_path, "region", {**L2_LATTICE, "n": "3", "radius": "1"})[0] == 0
+
+
+def test_render_non_positive_canvas_exits_3(tmp_path):
+    assert run(tmp_path, "render", GENERIC_PAIR, "--width", "-5", "--height", "0") == (3, None)
+    assert run(tmp_path, "render", GENERIC_PAIR, "--width", "160", "--height", "0") == (3, None)
+    assert run(tmp_path, "render", {"n": 3, "sites": []}, "--width", "0")[0] == 3
 
 
 def test_render_hexagon(tmp_path):

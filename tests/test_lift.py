@@ -189,25 +189,6 @@ def test_power_region_samples_map_into_tropical_region():
 # ---------------------------------------------------------------------------
 # generator enumeration
 
-def test_generators_simplex():
-    ones = vec(RF_ONE, RF_ONE, RF_ONE)
-    neg = vec(-RF_ONE, -RF_ONE, -RF_ONE)
-    P = OFPolyhedron(
-        3,
-        (
-            OFHalfspace(ones, RatFun.from_rat(-1)),
-            OFHalfspace(neg, RatFun.from_rat(1)),
-        ),
-    )
-    verts, rays = of_polyhedron_generators(P)
-    assert [v.coords for v in verts] == [
-        (RF_ZERO, RF_ZERO, RF_ONE),
-        (RF_ZERO, RF_ONE, RF_ZERO),
-        (RF_ONE, RF_ZERO, RF_ZERO),
-    ]
-    assert rays == []
-
-
 def test_generators_orthant():
     verts, rays = of_polyhedron_generators(OFPolyhedron(2, ()))
     assert [v.coords for v in verts] == [(RF_ZERO, RF_ZERO)]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_dbm
+import recursive_searches
 from tropvor._lp import (
     INT_RING,
     UNBOUNDED,
@@ -21,6 +22,7 @@ from tropvor._lp import (
     lp_solve,
     lp_strictly_feasible,
 )
+from tropvor import voronoi
 from tropvor.sites import LatticeWindow, SiteSet, check_general_position, lattice_points
 from tropvor.tropcore import (
     HPoint,
@@ -33,6 +35,7 @@ from tropvor.tropcore import (
 from tropvor.voronoi import (
     DiagramCell,
     VoronoiRegion,
+    _all_bounded,
     _bounded,
     _cell,
     _choices,
@@ -529,6 +532,49 @@ def test_integer_closure_decides_like_the_fraction_kernel(system):
                 assert decoded(C, L) == F
                 assert _dim(C) == fraction_dbm._dim(F)
     assert halfspace_redundant(probe, hs) == all(fraction_dbm._inside(E, probe) for _, E in old)
+
+
+# ---------------------------------------------------------------------------
+# the lazy piece search against the recursions it replaced
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_lists())
+def test_lazy_search_answers_like_the_recursions(system):
+    n, hs, probe = system
+    L = _scale(hs + [probe])
+    # the same rows and closed matrices, in the same order
+    assert _pieces(hs, n, L) == recursive_searches._pieces(hs, n, L)
+    choices = [_choices(h, n, L) for h in hs]
+    for want in range(-1, n):
+        assert _has_piece(choices, n, want) == recursive_searches._has_piece(choices, n, want)
+    assert _all_bounded(choices, n) == recursive_searches._all_bounded(choices, n)
+    assert halfspace_redundant(probe, hs) == recursive_searches.halfspace_redundant(probe, hs)
+
+
+def test_redundancy_test_stops_at_the_first_piece_outside(monkeypatch):
+    # every irredundant halfspace of the L2 region has a piece of the others
+    # outside it; the lazy test closes fewer matrices, complements included,
+    # than listing every piece of the others alone
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    kept = region(L2, 0).halfspaces
+    calls = [0]
+
+    def counted(D, edges, weak):
+        calls[0] += 1
+        return _close(D, edges, weak)
+
+    monkeypatch.setattr(voronoi, "_close", counted)
+    lazy = full = 0
+    for i, h in enumerate(kept):
+        rest = list(kept[:i] + kept[i + 1 :])
+        calls[0] = 0
+        assert not halfspace_redundant(h, rest)
+        lazy += calls[0]
+        calls[0] = 0
+        _pieces(rest, 3, _scale([h, *rest]))
+        full += calls[0]
+    assert 0 < lazy < full
 
 
 def reference_generators(r: VoronoiRegion) -> tuple:
