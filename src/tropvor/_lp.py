@@ -393,7 +393,7 @@ class LPResult:
 
 def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult:
     """Maximize objective . x subject to eq rows (a, b): a.x = b and le rows
-    a.x <= b, all variables free.  objective may be None (feasibility only).
+    a.x <= b, all variables free.
 
     Rows are pairs (coeffs, rhs) of ring elements.
 
@@ -473,11 +473,10 @@ def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult
     # phase-2 objective row: -c; the initial basic columns all carry zero
     # objective coefficient, so no reduction is needed
     z2 = [zero] * (width + 1)
-    if objective is not None:
-        for k, c in enumerate(objective):
-            if sign(c) == 0:
-                continue
-            z2[k] = sub(zero, c)
+    for k, c in enumerate(objective):
+        if sign(c) == 0:
+            continue
+        z2[k] = sub(zero, c)
 
     denom = one
 
@@ -567,9 +566,6 @@ def lp_solve(nv: int, eqs: Sequence, les: Sequence, objective, ring) -> LPResult
         del rows[i], basis[i]
         m -= 1
 
-    if objective is None:
-        return LPResult(OPTIMAL, (zero, one), _extract(rows, basis, denom, nv, ring))
-
     # phase 2 reads no artificial column: drop them
     for row in rows + [z1, z2]:
         del row[nv + nslack:width]
@@ -595,8 +591,9 @@ def _extract(rows, basis, denom, nv, ring):
 # helpers built on the solver
 
 def lp_feasible(nv: int, eqs: Sequence, les: Sequence, ring) -> Optional[list]:
-    """A feasible point as (num, den) pairs, or None."""
-    res = lp_solve(nv, eqs, les, None, ring)
+    """A feasible point as (num, den) pairs, or None: a zero objective stops
+    phase 2 at once."""
+    res = lp_solve(nv, eqs, les, [ring.zero] * nv, ring)
     return res.solution if res.status == OPTIMAL else None
 
 

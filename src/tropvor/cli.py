@@ -18,7 +18,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .delone import complex_to_json, delone_complex, hull_complex
-from .exactnum import rat_from_str
+from .exactnum import int_from_str
 from .lift import verify_lift
 from .sites import LatticeWindow, SiteSet, lattice_points, sites_from_json
 from .tropcore import hpoint_from_json
@@ -53,14 +53,6 @@ def _load(path: str) -> dict:
     return data
 
 
-def _integer(value) -> int:
-    """An integer field of the input, read as exactly as a coordinate."""
-    x = rat_from_str(value)
-    if x.denominator != 1:
-        raise ValueError(f"integer expected, got {value!r}")
-    return x.numerator
-
-
 def _parse_payload(data: dict):
     """Classify the input file by schema.
 
@@ -72,9 +64,9 @@ def _parse_payload(data: dict):
     try:
         if "basis" in data:
             basis = [hpoint_from_json(row) for row in data["basis"]]
-            return "lattice", (basis, _integer(data["radius"]), _integer(data["n"]))
+            return "lattice", (basis, int_from_str(data["radius"]), int_from_str(data["n"]))
         if "sites" in data:
-            n = _integer(data["n"])
+            n = int_from_str(data["n"])
             if not data["sites"]:
                 return "empty", n
             return "sites", sites_from_json(data)

@@ -35,9 +35,8 @@ from .lift import _power_walk, monomial_lift
 from .sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet, check_general_position
 from .voronoi import (
     _all_bounded,
-    _choices,
     _has_piece,
-    _site_halfspaces,
+    _site_table,
     sufficiently_generic,
     voronoi_diagram,
 )
@@ -78,14 +77,9 @@ def complex_to_json(C: SimplicialComplex) -> dict:
     }
 
 
-def _site_choices(S: SiteSet) -> list:
-    """Each site's halfspaces as edge choices, at one scale for all sites."""
-    table, L = _site_halfspaces(S, range(len(S)))
-    return [[_choices(h, S.n, L) for h in table[s]] for s in range(len(S))]
-
-
-def _edges(S: SiteSet, choices: list) -> tuple:
-    """Pairs of sites whose common cell has dimension >= n - 2."""
+def _edges(S: SiteSet, choices: dict) -> tuple:
+    """Pairs of sites whose common cell has dimension >= n - 2, from the
+    edge choices of a site table."""
     return tuple(
         (i, j)
         for i, j in combinations(range(len(S)), 2)
@@ -97,7 +91,7 @@ def dual_graph(S: SiteSet) -> DualGraph:
     """Edges between regions whose intersection has codimension <= 1 in H."""
     if len(S) > SITE_CAP:
         raise ValueError("instance too large")
-    return DualGraph(tuple(range(len(S))), _edges(S, _site_choices(S)))
+    return DualGraph(tuple(range(len(S))), _edges(S, _site_table(S, range(len(S)))[1]))
 
 
 def _max_cliques(nodes, adj) -> list:
@@ -127,8 +121,8 @@ def delone_complex(S: SiteSet) -> SimplicialComplex:
     """
     if len(S) > SITE_CAP:
         raise ValueError("instance too large")
-    choices = _site_choices(S)
     nodes = range(len(S))
+    choices = _site_table(S, nodes)[1]
     adj = {v: set() for v in nodes}
     for a, b in _edges(S, choices):
         adj[a].add(b)

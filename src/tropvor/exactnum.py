@@ -59,6 +59,14 @@ def rat_from_str(s: str) -> Rat:
     return Fraction(s)
 
 
+def int_from_str(s: str) -> int:
+    """An integer from a string or an int, read as exactly as a rational."""
+    x = rat_from_str(s)
+    if x.denominator != 1:
+        raise ValueError(f"integer expected, got {s!r}")
+    return x.numerator
+
+
 # ---------------------------------------------------------------------------
 # the ordered field
 

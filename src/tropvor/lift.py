@@ -58,15 +58,8 @@ from .exactnum import (
     valstar,
 )
 from .sites import DIM_CAP, GEN_CONSTRAINT_CAP, LIFT_CAP, SiteSet
-from .tropcore import HPoint, TropicalHalfspace, normalize_to_H
-from .voronoi import (
-    diagram_to_json,
-    label_lattice,
-    region,
-    region_contains,
-    sufficiently_generic,
-    voronoi_diagram,
-)
+from .tropcore import HPoint, TropicalHalfspace
+from .voronoi import _site_table, diagram_to_json, label_lattice, sufficiently_generic, voronoi_diagram
 
 
 Scalar = Union[RatFun, Fraction]
@@ -409,7 +402,10 @@ def verify_lift(
     when that maximum has no absent coordinate.  That one image is checked
     once and counted for the sampling pool it stands for: the sum of the
     rays, that sum plus each ray again, and three random combinations when
-    rng is given.  rng draws nothing; it only adds the three.
+    rng is given.  rng draws nothing; it only adds the three.  Images are
+    tested against the site's signature-reduced halfspaces, whose
+    intersection is the Voronoi region; membership is shift-invariant, so
+    no image is normalised.
     """
     ok, _ = sufficiently_generic(S)
     if not ok:
@@ -424,12 +420,12 @@ def verify_lift(
         c.label for c in lifted.cells
     ] and trop.order == lifted.order
 
+    halfspaces = _site_table(S, range(len(S)))[0]
     failures: list = []
     samples = 0
     for a in range(len(S)):
         P = power_region(lifts, a)
         _, rays = of_polyhedron_generators(P)
-        r_trop = region(S, a)
         if not rays:
             continue
         images = [lift_valstar(r) for r in rays]
@@ -439,10 +435,10 @@ def verify_lift(
         if None not in top:
             pool = 1 + len(rays) + (3 if rng is not None else 0)
             samples += pool
-            if not region_contains(r_trop, normalize_to_H(top)):
+            if not all(_contains_extended(h, top) for h in halfspaces[a]):
                 failures += [f"sample of region {a}: valstar {list(map(str, top))} escapes"] * pool
         for vals in images:
-            if not all(_contains_extended(h, vals) for h in r_trop.halfspaces):
+            if not all(_contains_extended(h, vals) for h in halfspaces[a]):
                 failures.append(f"ray of region {a}: valstar {list(map(str, vals))} escapes")
 
     return {

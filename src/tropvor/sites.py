@@ -18,7 +18,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from ._lp import INT_RING, lp_cramer, lp_rank
-from .exactnum import clear_rat_row
+from .exactnum import clear_rat_row, int_from_str
 from .tropcore import HPoint, hpoint_from_json, hpoint_to_json
 
 # Size caps of the exponential enumerations, set here for every module: sites
@@ -63,7 +63,7 @@ def sites_to_json(S: SiteSet) -> dict:
 def sites_from_json(data: dict) -> SiteSet:
     pts = [hpoint_from_json(row) for row in data["sites"]]
     S = SiteSet(pts)
-    if S.n != int(data["n"]):
+    if S.n != int_from_str(data["n"]):
         raise ValueError("dimension mismatch")
     return S
 
@@ -183,7 +183,7 @@ def lattice_from_json(data: dict) -> LatticeWindow:
         basis = [hpoint_from_json(row) for row in data["basis"]]
     except ValueError as exc:
         raise ValueError("invalid basis") from exc
-    return LatticeWindow(basis, int(data["radius"]), n=int(data["n"]))
+    return LatticeWindow(basis, int_from_str(data["radius"]), n=int_from_str(data["n"]))
 
 
 @dataclass(frozen=True)

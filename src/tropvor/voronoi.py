@@ -150,6 +150,16 @@ def _complements(h: TropicalHalfspace, L: int) -> list:
     return [[(j, i, ci - dj) for j, dj in zip(h.J, d)] for i, ci in zip(h.I, c)]
 
 
+def _site_table(S: SiteSet, labels: Iterable[int]) -> tuple:
+    """(halfspaces, choices, L): each site in labels mapped to its
+    signature-reduced halfspaces and to their edge choices, at the scale L
+    common to all of them.  Every tropical question of one call reads this
+    one table."""
+    halfspaces = {s: [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)] for s in labels}
+    L = _scale(h for lst in halfspaces.values() for h in lst)
+    return halfspaces, {s: [_choices(h, S.n, L) for h in lst] for s, lst in halfspaces.items()}, L
+
+
 def _search(choices: Sequence[list], n: int, keep: Optional[Callable] = None):
     """Nonempty pieces of these halfspace choices as (integer rows, closed
     matrix) pairs, depth first in choice order.  A prefix whose closure fails
@@ -172,11 +182,6 @@ def _search(choices: Sequence[list], n: int, keep: Optional[Callable] = None):
                 stack.append((idx + 1, rows + piece_rows, E))
 
 
-def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, L: int):
-    """Every nonempty piece of the intersection, in search order."""
-    return list(_search([_choices(h, n, L) for h in halfspaces], n))
-
-
 def _has_piece(choices: Sequence[list], n: int, want: int) -> bool:
     """Is the cell of these halfspace choices of dimension >= want?  Its
     dimension is the largest of a nonempty piece, -1 when there is none."""
@@ -194,13 +199,16 @@ def _inside(D: list, complements: list) -> bool:
     return all(_close(D, edges, 0) is None for edges in complements)
 
 
+def _redundant(complements: list, choices: Sequence[list], n: int) -> bool:
+    """Does every piece of these halfspace choices lie in the halfspace with
+    these complement edges?  The search stops at the first piece outside."""
+    return all(_inside(D, complements) for _, D in _search(choices, n))
+
+
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
-    """Is the intersection of the others already inside h?  The search stops
-    at the first piece outside h."""
+    """Is the intersection of the others already inside h?"""
     L = _scale([h, *others])
-    complements = _complements(h, L)
-    choices = [_choices(g, h.n, L) for g in others]
-    return all(_inside(D, complements) for _, D in _search(choices, h.n))
+    return _redundant(_complements(h, L), [_choices(g, h.n, L) for g in others], h.n)
 
 
 def _decode(values: Sequence[int], L: int) -> HPoint:
@@ -279,20 +287,19 @@ def _extreme_points(closures: Sequence[list], L: int):
 
 def region(S: SiteSet, s: int) -> VoronoiRegion:
     """The region of site s: irredundant halfspaces, plus extreme points when
-    the region is bounded."""
-    T = signature_reduce(S, s)
-    kept = [halfspace_from_pair(S[s], S[t]) for t in T]
+    the region is bounded.  A halfspace is dropped when the others still
+    kept already lie inside it."""
+    halfspaces, choices, L = _site_table(S, (s,))
+    kept, kept_choices = halfspaces[s], choices[s]
     i = 0
     while i < len(kept):
-        h = kept[i]
-        rest = kept[:i] + kept[i + 1 :]
-        if rest and halfspace_redundant(h, rest):
-            kept.pop(i)
+        rest = kept_choices[:i] + kept_choices[i + 1 :]
+        if rest and _redundant(_complements(kept[i], L), rest, S.n):
+            del kept[i], kept_choices[i]
         else:
             i += 1
 
-    L = _scale(kept)
-    closures = [D for _, D in _pieces(kept, S.n, L)]
+    closures = [D for _, D in _search(kept_choices, S.n)]
     bounded = bool(kept) and all(_bounded(D) for D in closures)
     return VoronoiRegion(s, tuple(kept), _extreme_points(closures, L) if bounded else None)
 
@@ -333,17 +340,10 @@ class DiagramCell:
     pieces: tuple
 
 
-def _site_halfspaces(S: SiteSet, labels: Iterable[int]) -> tuple:
-    """The halfspaces cutting out the region of each site in labels, as a
-    dict by site, and their common scale."""
-    table = {s: [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)] for s in labels}
-    return table, _scale(h for lst in table.values() for h in lst)
-
-
-def _cell(n: int, label, hs_lists, L: int) -> tuple:
-    """The cell of a sorted label, and the closed matrix of each piece, at a
-    scale L common to every halfspace in hs_lists."""
-    pieces = _pieces([h for lst in hs_lists for h in lst], n, L)
+def _cell(n: int, label, choices: dict) -> tuple:
+    """The cell of a sorted label, and the closed matrix of each piece, from
+    the edge choices of a site table."""
+    pieces = list(_search([c for s in label for c in choices[s]], n))
     dim = max((_dim(D) for _, D in pieces), default=-1)
     return DiagramCell(label, dim, tuple(rows for rows, _ in pieces)), [D for _, D in pieces]
 
@@ -353,22 +353,23 @@ def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
     label = tuple(sorted(set(int(t) for t in T)))
     if not label or label[0] < 0 or label[-1] >= len(S):
         raise ValueError("label must be a nonempty subset of site indices")
-    table, L = _site_halfspaces(S, label)
-    return _cell(S.n, label, [table[s] for s in label], L)[0]
+    return _cell(S.n, label, _site_table(S, label)[1])[0]
 
 
 def sufficiently_generic(S: SiteSet):
     """Every pair of sites with intersecting regions differs everywhere.
 
     Returns (True, None) or (False, (i, j, k)) naming the offending pair and
-    the shared coordinate.
+    the shared coordinate.  Only the sites of pairs sharing a coordinate go
+    into the site table.
     """
-    for i, j in combinations(range(len(S)), 2):
-        shared = next((k for k in range(S.n) if S[i][k] == S[j][k]), None)
-        if shared is None:
-            continue
-        if cell(S, (i, j)).dim >= 0:
-            return False, (i, j, shared)
+    pairs = [
+        (i, j) for i, j in combinations(range(len(S)), 2) if any(a == b for a, b in zip(S[i], S[j]))
+    ]
+    choices = _site_table(S, {s for pair in pairs for s in pair})[1]
+    for i, j in pairs:
+        if _has_piece(choices[i] + choices[j], S.n, 0):
+            return False, (i, j, next(k for k in range(S.n) if S[i][k] == S[j][k]))
     return True, None
 
 
@@ -463,12 +464,12 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         raise ValueError("instance too large")
     n = S.n
     gp, _ = check_general_position(S)
-    table, L = _site_halfspaces(S, range(len(S)))
-    complements = {s: [_complements(h, L) for h in lst] for s, lst in table.items()}
+    halfspaces, choices, L = _site_table(S, range(len(S)))
+    complements = {s: [_complements(h, L) for h in lst] for s, lst in halfspaces.items()}
     closures: dict = {}
 
     def probe(label) -> Optional[DiagramCell]:
-        c, closures[label] = _cell(n, label, [table[s] for s in label], L)
+        c, closures[label] = _cell(n, label, choices)
         return c if c.dim >= 0 else None
 
     def contains(c: DiagramCell, s: int) -> bool:

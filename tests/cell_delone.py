@@ -15,15 +15,15 @@ from itertools import combinations
 
 from tropvor.delone import DualGraph, SimplicialComplex, _max_cliques
 from tropvor.sites import SITE_CAP
-from tropvor.voronoi import _cell, _site_halfspaces, region
+from tropvor.voronoi import _cell, _site_table, region
 
 
 def pair_edges(S) -> tuple:
-    table, L = _site_halfspaces(S, range(len(S)))
+    choices = _site_table(S, range(len(S)))[1]
     return tuple(
         (i, j)
         for i, j in combinations(range(len(S)), 2)
-        if _cell(S.n, (i, j), [table[i], table[j]], L)[0].dim >= S.n - 2
+        if _cell(S.n, (i, j), choices)[0].dim >= S.n - 2
     )
 
 

@@ -16,7 +16,6 @@ from tropvor.delone import (
     SimplicialComplex,
     _edges,
     _maximal,
-    _site_choices,
     complex_to_json,
     delone_complex,
     dual_graph,
@@ -34,7 +33,7 @@ from tropvor.sites import (
     signature_reduce,
 )
 from tropvor.tropcore import HPoint
-from tropvor.voronoi import _all_bounded, cell, label_lattice, region
+from tropvor.voronoi import _all_bounded, _site_table, cell, label_lattice, region
 
 
 def H(*cs):
@@ -228,7 +227,7 @@ def perturbed_block():
 def assert_matches_the_cell_reference(S):
     """Edges and provisional sites from the pruned searches equal those from
     full pair cells and regions; the public entry points too within the cap."""
-    choices = _site_choices(S)
+    choices = _site_table(S, range(len(S)))[1]
     assert _edges(S, choices) == cell_delone.pair_edges(S)
     for s in range(len(S)):
         assert _all_bounded(choices[s], S.n) == region(S, s).bounded

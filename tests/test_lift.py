@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pool_checker
-from tropvor import lift
+from tropvor import lift, voronoi
 from tropvor._lp import ThresholdLedger, zp_mul, zp_neg
 from tropvor.exactnum import RF_ONE, RF_ZERO, RatFun, clear_ratfun_row, ratfun_of_zpoly, valstar
 from tropvor.lift import (
@@ -399,6 +399,20 @@ def test_verify_lift_canonical_relabelling_on_both_sides():
     assert rep["cells_tropical"] == rep["cells_lifted"] == 5
 
 
+def test_verify_lift_builds_no_regions(monkeypatch):
+    # images are tested against the site table's halfspaces, never through
+    # a region with its redundancy searches and extreme points
+    assert not hasattr(lift, "region") and not hasattr(lift, "region_contains")
+
+    def refuse(*args):
+        raise AssertionError("verify_lift built a region")
+
+    monkeypatch.setattr(voronoi, "region", refuse)
+    for S in (sites(*CERTIFIED_TRIOS[0][0]), sites((3, -6, 3), (3, 4, -7), (5, -1, -4))):
+        rep = verify_lift(S)
+        assert rep["isomorphic"] and rep["failures"] == []
+
+
 def test_verify_lift_rejects_degenerate_pair():
     with pytest.raises(ValueError, match="precondition: genericity"):
         verify_lift(sites((-5, -5, 10), (-5, 10, -5)))
@@ -445,8 +459,9 @@ def test_verify_lift_matches_the_sampling_checker(S, seed):
 def test_forced_escapes_match_the_sampling_checker(monkeypatch, seed):
     # every sample and every ray escapes: the failure lists must agree in
     # order and repetition, one sample line per counted pool member
+    # lift tests every image with _contains_extended alone
+    monkeypatch.setattr(pool_checker, "region_contains", lambda r, pt: False)
     for module in (lift, pool_checker):
-        monkeypatch.setattr(module, "region_contains", lambda r, pt: False)
         monkeypatch.setattr(module, "_contains_extended", lambda h, vals: False)
     S = sites(*CERTIFIED_TRIOS[0][0])
     got = _report_or_error(verify_lift, S, seed)

@@ -488,7 +488,7 @@ def lp_instances(draw, ring):
     feasible systems with negative optimal coordinates (a w column basic)
     are common.  Equality rows, a redundant scaled copy of one, rows whose
     rhs is negative, a box that keeps the optimum bounded, a random row that
-    may cut x0 off, and objective None all come up.
+    may cut x0 off, and a zero objective all come up.
     """
     nv = draw(st.integers(1, 3))
     if ring is INT_RING:
@@ -521,7 +521,7 @@ def lp_instances(draw, ring):
             les.append((unit(k, -1), ring.sub(draw(slack), x0[k])))
     if draw(st.booleans()):
         les.append((row(), draw(entry)))
-    objective = row() if draw(st.booleans()) else None
+    objective = row() if draw(st.booleans()) else [ring.zero] * nv
     return nv, eqs, les, objective
 
 
@@ -580,7 +580,7 @@ def test_ledger_instantiation_reproduces_the_result(lp):
     def inst(rows):
         return [([at_t0(c, t0) for c in a], at_t0(b, t0)) for a, b in rows]
 
-    int_obj = None if objective is None else [at_t0(c, t0) for c in objective]
+    int_obj = [at_t0(c, t0) for c in objective]
     res0 = lp_solve(nv, inst(eqs), inst(les), int_obj, INT_RING)
     assert res0.status == res.status
     if res.status != OPTIMAL:

@@ -131,6 +131,26 @@ def test_lattice_scale_and_json():
     assert [p.coords for p in L2.basis] == [p.coords for p in L.basis]
 
 
+def test_json_readers_take_exact_integers_only():
+    basis = [["2", "-2", "0"], ["-1", "2", "-1"]]
+    one_site = [["1", "-1", "0"]]
+    # floats and bools are not exact; a fraction is not an integer
+    for bad, error in ((2.9, TypeError), (True, TypeError), ("5/2", ValueError)):
+        with pytest.raises(error):
+            lattice_from_json({"n": 3, "basis": basis, "radius": bad})
+    for bad, error in ((3.5, TypeError), (3.0, TypeError), (True, TypeError), ("7/2", ValueError)):
+        with pytest.raises(error):
+            lattice_from_json({"n": bad, "basis": basis, "radius": 2})
+        with pytest.raises(error):
+            sites_from_json({"n": bad, "sites": one_site})
+    # strings and ints are read alike
+    L = lattice_from_json({"n": "3", "basis": basis, "radius": "2"})
+    assert L == lattice_from_json({"n": 3, "basis": basis, "radius": 2})
+    assert (L.n, L.radius) == (3, 2)
+    assert sites_from_json({"n": "3", "sites": one_site}).n == 3
+    assert sites_from_json({"n": 3, "sites": one_site}).n == 3
+
+
 def test_lattice_points_are_deduplicated_and_sorted():
     L = LatticeWindow([H(1, -1, 0)], 2)
     S, report = lattice_points(L)

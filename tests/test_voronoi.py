@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fraction_dbm
 import recursive_searches
+import reentrant_calls
 from tropvor._lp import (
     INT_RING,
     UNBOUNDED,
@@ -23,7 +24,14 @@ from tropvor._lp import (
     lp_strictly_feasible,
 )
 from tropvor import voronoi
-from tropvor.sites import LatticeWindow, SiteSet, check_general_position, lattice_points
+from tropvor.delone import delone_complex, dual_graph
+from tropvor.sites import (
+    LatticeWindow,
+    SiteSet,
+    check_general_position,
+    lattice_points,
+    signature_reduce,
+)
 from tropvor.tropcore import (
     HPoint,
     TropicalHalfspace,
@@ -46,9 +54,9 @@ from tropvor.voronoi import (
     _free,
     _has_piece,
     _inside,
-    _pieces,
     _scale,
-    _site_halfspaces,
+    _search,
+    _site_table,
     cell,
     classify,
     diagram_to_json,
@@ -57,6 +65,7 @@ from tropvor.voronoi import (
     region_contains,
     region_from_json,
     region_to_json,
+    sufficiently_generic,
     voronoi_diagram,
 )
 
@@ -512,7 +521,7 @@ def decoded(D: list, L: int) -> list:
 def test_integer_closure_decides_like_the_fraction_kernel(system):
     n, hs, probe = system
     L = _scale(hs + [probe])
-    new = _pieces(hs, n, L)
+    new = list(_search([_choices(h, n, L) for h in hs], n))
     old = fraction_dbm._pieces(hs, n)
     assert [rows for rows, _ in new] == [rows for rows, _ in old]
     complements = _complements(probe, L)
@@ -544,8 +553,8 @@ def test_lazy_search_answers_like_the_recursions(system):
     n, hs, probe = system
     L = _scale(hs + [probe])
     # the same rows and closed matrices, in the same order
-    assert _pieces(hs, n, L) == recursive_searches._pieces(hs, n, L)
     choices = [_choices(h, n, L) for h in hs]
+    assert list(_search(choices, n)) == recursive_searches._pieces(hs, n, L)
     for want in range(-1, n):
         assert _has_piece(choices, n, want) == recursive_searches._has_piece(choices, n, want)
     assert _all_bounded(choices, n) == recursive_searches._all_bounded(choices, n)
@@ -572,7 +581,8 @@ def test_redundancy_test_stops_at_the_first_piece_outside(monkeypatch):
         assert not halfspace_redundant(h, rest)
         lazy += calls[0]
         calls[0] = 0
-        _pieces(rest, 3, _scale([h, *rest]))
+        L = _scale([h, *rest])
+        list(_search([_choices(g, 3, L) for g in rest], 3))
         full += calls[0]
     assert 0 < lazy < full
 
@@ -638,9 +648,9 @@ def test_region_generators_match_the_term_hyperplane_reference():
 def probe_matches_the_cell(S, label) -> int:
     """Check _has_piece against the dimension of the enumerated cell of a
     sorted label for every want from -1 to n - 1; returns that dimension."""
-    table, L = _site_halfspaces(S, label)
-    choices = [_choices(h, S.n, L) for s in label for h in table[s]]
-    dim = _cell(S.n, label, [table[s] for s in label], L)[0].dim
+    table = _site_table(S, label)[1]
+    choices = [c for s in label for c in table[s]]
+    dim = _cell(S.n, label, table)[0].dim
     for want in range(-1, S.n):
         assert _has_piece(choices, S.n, want) == (dim >= want), (label, want, dim)
     return dim
@@ -680,3 +690,103 @@ def test_dimension_probe_on_a2_labels():
     assert probe_matches_the_cell(S, label) == 0
     # no halfspace at all: the one piece is all of H
     assert probe_matches_the_cell(S, ()) == 2
+
+
+# ---------------------------------------------------------------------------
+# one site table per call
+
+
+def counted_table_builds(monkeypatch) -> dict:
+    """Count the calls of voronoi._choices and of its halfspace_from_pair."""
+    counts = dict.fromkeys(("_choices", "halfspace_from_pair"), 0)
+    for name in counts:
+
+        def counted(*args, _fn=getattr(voronoi, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(voronoi, name, counted)
+    return counts
+
+
+def random_sites(seed: int, count: int) -> SiteSet:
+    """count distinct integer sites in n = 3, coordinates may repeat."""
+    rng = random.Random(seed)
+    rows = set()
+    while len(rows) < count:
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        rows.add((a, b, -a - b))
+    return SiteSet([H(*r) for r in sorted(rows)])
+
+
+def test_each_halfspace_gets_its_edge_choices_once(monkeypatch):
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    S = random_sites(3, 5)
+    everyone = range(len(S))
+    calls = [
+        (L2, lambda: region(L2, 0), (0,)),
+        (L2, lambda: cell(L2, (0, 1)), (0, 1)),
+        (S, lambda: region(S, 2), (2,)),
+        (S, lambda: cell(S, (1, 3, 4)), (1, 3, 4)),
+        (S, lambda: voronoi_diagram(S), everyone),
+        (S, lambda: dual_graph(S), everyone),
+        (S, lambda: delone_complex(S), everyone),
+    ]
+    counts = counted_table_builds(monkeypatch)
+    for T, call, labels in calls:
+        counts.update(dict.fromkeys(counts, 0))
+        call()
+        built = sum(len(signature_reduce(T, s)) for s in labels)
+        assert built > 0
+        assert counts == dict.fromkeys(counts, built)
+
+
+def test_region_and_the_genericity_test_reenter_no_public_entry_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("re-entered a public entry point")
+
+    monkeypatch.setattr(voronoi, "halfspace_redundant", refuse)
+    monkeypatch.setattr(voronoi, "cell", refuse)
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    # the references bound their own halfspace_redundant and cell
+    assert region(L2, 0) == reentrant_calls.region(L2, 0)
+    A2r1, _ = lattice_points(LatticeWindow([H(1, -1, 0), H(0, 1, -1)], 1))
+    assert sufficiently_generic(A2r1) == reentrant_calls.sufficiently_generic(A2r1)
+    assert not sufficiently_generic(A2r1)[0]
+    assert sufficiently_generic(sites((3, -6, 3), (3, 4, -7), (5, -1, -4))) == (True, None)
+
+
+@st.composite
+def small_site_sets(draw):
+    """2 to 5 distinct sites in n = 3 or 4 with half-integer coordinates in
+    [-6, 6], so that pairs often share a coordinate."""
+    n = draw(st.integers(3, 4))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2]))
+    heads = draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=2, max_size=5, unique=True))
+    return SiteSet([H(*r, -sum(r)) for r in heads])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_site_sets())
+def test_table_reads_answer_like_the_reentrant_calls(S):
+    for s in range(len(S)):
+        new, old = region(S, s), reentrant_calls.region(S, s)
+        assert new == old
+        assert region_to_json(new) == region_to_json(old)
+    assert sufficiently_generic(S) == reentrant_calls.sufficiently_generic(S)
+
+
+def test_reentrant_reference_cases():
+    # sets with a coordinate-sharing pair whose regions meet (A2) or do not
+    A2r1, _ = lattice_points(LatticeWindow([H(1, -1, 0), H(0, 1, -1)], 1))
+    generic = sites((3, -6, 3), (3, 4, -7), (5, -1, -4))
+    for S in (A2r1, generic, random_sites(3, 5)):
+        assert sufficiently_generic(S) == reentrant_calls.sufficiently_generic(S)
+        for s in range(len(S)):
+            assert region_to_json(region(S, s)) == region_to_json(reentrant_calls.region(S, s))
+    # bounded regions, with extreme points; random sets rarely have one
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    for S in [L2, a2_window(2)] + seeded_windows():
+        new = region(S, 0)
+        assert new.bounded
+        assert region_to_json(new) == region_to_json(reentrant_calls.region(S, 0))
