@@ -189,7 +189,7 @@ def _render_pieces(canvas: _Canvas, pieces, dim: int, color: str, reach: float) 
                 canvas.add_polyline([_ray_end(verts[0], rays[0], reach), pv[0]], pv)
 
 
-def _render(kind, payload, S: Optional[SiteSet], width: int, height: int) -> str:
+def _render(kind, S: Optional[SiteSet], width: int, height: int) -> str:
     canvas = _Canvas(width, height)
     if kind == "empty":
         return canvas.emit()
@@ -243,7 +243,7 @@ def _dispatch(args, kind, payload) -> str:
         S = None if kind == "empty" else _site_set(kind, payload, args.radius)
         if S is not None and args.cap is not None and len(S) > args.cap:
             raise ValueError("size cap exceeded")
-        return _render(kind, payload, S, args.width, args.height)
+        return _render(kind, S, args.width, args.height)
 
     S = _site_set(kind, payload, args.radius)
     if args.cap is not None and len(S) > args.cap:

@@ -276,13 +276,6 @@ def instantiate_lifts(lifts: Sequence[OFVector], t0: Rat) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _Walked:
-    """A nonempty power cell as the walk sees it: its label, no dimension."""
-
-    label: tuple
-
-
 def _power_walk(lifts: Sequence[OFVector], ledger: Optional[ThresholdLedger] = None):
     """The label-lattice walk over the farthest power diagram of the lifts,
     probing strict feasibility only: (labels, order, affine_dim), the
@@ -305,22 +298,20 @@ def _power_walk(lifts: Sequence[OFVector], ledger: Optional[ThresholdLedger] = N
     convert = clear_ratfun_row if symbolic else clear_rat_row
     zero = ring.zero
 
-    cache: dict = {}
-
-    def prow(i: int, j: int) -> tuple:
-        key = (i, j)
-        if key not in cache:
-            deltas = [
-                x - y for x, y in zip(lifts[i].coords, lifts[j].coords)
-            ]
-            cache[key] = convert(deltas)
-        return cache[key]
+    # the cleared row of every ordered pair; the walk probes every singleton
+    # label, which reads them all
+    prow = {
+        (i, j): convert([x - y for x, y in zip(a.coords, b.coords)])
+        for i, a in enumerate(lifts)
+        for j, b in enumerate(lifts)
+        if i != j
+    }
 
     # all-coordinates-distinct test, through ring.sign so the decisions are
     # covered by the ledger certificate
     gp = True
     for i, j in combinations(range(len(lifts)), 2):
-        if any(ring.sign(c) == 0 for c in prow(i, j)):
+        if any(ring.sign(c) == 0 for c in prow[i, j]):
             gp = False
             break
 
@@ -332,27 +323,27 @@ def _power_walk(lifts: Sequence[OFVector], ledger: Optional[ThresholdLedger] = N
 
     def cell_rows(label):
         a0 = label[0]
-        eqs = [(prow(a0, b), zero) for b in label[1:]]
-        les = [(prow(a0, b), zero) for b in range(len(lifts)) if b not in label]
+        eqs = [(prow[a0, b], zero) for b in label[1:]]
+        les = [(prow[a0, b], zero) for b in range(len(lifts)) if b not in label]
         return eqs, les
 
-    def probe(label) -> Optional[_Walked]:
+    def probe(label) -> bool:
         eqs, les = cell_rows(label)
-        return _Walked(label) if lp_strictly_feasible(n, eqs, orthant, les, ring) else None
+        return lp_strictly_feasible(n, eqs, orthant, les, ring)
 
-    def contains(c: _Walked, b: int) -> bool:
+    def contains(label, b: int) -> bool:
         # the cell lies in the power region of b when no lift is strictly
         # farther than b anywhere on it; label[0] is farthest on the whole
         # cell, so it is strictly farther than b wherever any lift is
-        eqs, les = cell_rows(c.label)
-        return not lp_strictly_feasible(n, eqs, [(prow(c.label[0], b), zero)], les + orthant, ring)
+        eqs, les = cell_rows(label)
+        return not lp_strictly_feasible(n, eqs, [(prow[label[0], b], zero)], les + orthant, ring)
 
     def affine_dim(label) -> int:
         eqs, les = cell_rows(label)
         return lp_affine_dim(n, eqs, les + orthant, ring)
 
-    cells, order = label_lattice(len(lifts), gp, n, probe, contains)
-    return [c.label for c in cells], order, affine_dim
+    labels, order = label_lattice(len(lifts), gp, n, probe, contains)
+    return [key for key, _ in labels], order, affine_dim
 
 
 def power_diagram_poset(

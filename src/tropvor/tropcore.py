@@ -142,7 +142,9 @@ def tconv_membership(x: HPoint, V: Sequence[HPoint]) -> bool:
 
     Projects x onto the hull: P(x) = max over v of (lambda_v + v) with
     lambda_v = min_j(x_j - v_j).  The projection is the hull point closest to
-    x, and membership is P(x) = x up to the all-ones translation.
+    x, and membership is P(x) = x up to the all-ones translation.  P(x) <= x
+    in every coordinate, so P(x) = x + c(1, ..., 1) forces c = 0 and P(x) is
+    compared with x as it is, without normalising.
     """
     V = list(V)
     if not V:
@@ -157,7 +159,7 @@ def tconv_membership(x: HPoint, V: Sequence[HPoint]) -> bool:
             w = lam + v[i]
             if proj[i] is None or w > proj[i]:
                 proj[i] = w
-    return normalize_to_H(proj).coords == x.coords
+    return tuple(proj) == x.coords
 
 
 # ---------------------------------------------------------------------------

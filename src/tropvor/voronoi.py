@@ -380,33 +380,30 @@ class VoronoiDiagram:
 
 
 def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Callable):
-    """Nonempty cells of a diagram on count sites, with canonical labels and
+    """Canonical labels of the nonempty cells of a diagram on count sites and
     their inclusion order; the one label-lattice walk behind the tropical
     diagram and the lifted power diagram.
 
-    probe(label) returns the cell of a sorted label, or None when it is
-    empty; a label is probed only when every label one site smaller is
-    nonempty.  The canonical label of a cell is the set of every site s with
-    contains(cell, s).  contains is consulted only when the label grown by s
+    probe(label) says whether the cell of a sorted label is nonempty; a label
+    is probed only when every label one site smaller is nonempty.  The
+    canonical label of a cell is the set of every site s with
+    contains(label, s).  contains is consulted only when the label grown by s
     is itself nonempty: a cell inside the region of s also lies in the cell
     of the grown label, so the filter changes no canonical label.  Labels are
-    settled from the largest down, and contains(cell, s) is skipped when a
+    settled from the largest down, and contains(label, s) is skipped when a
     label one site larger already has its cell outside the region of s: that
     cell lies in this one, so this one is outside too.  In general
-    position (gp) the enumerated label is already canonical and cells have
+    position (gp) every label is its own canonical label and cells have
     at most n sites, since dimensions drop strictly with the label size.
-    Returns (cells, order): cells sorted by label size, then label, and
-    (child, parent) index pairs with the child strictly inside the parent.
+    Returns (labels, order): (canonical label, least enumerated label of its
+    cell) pairs sorted by label size, then label, and the sorted (child,
+    parent) index pairs with the child strictly inside the parent.
     """
-    nonempty: dict = {}
+    nonempty: set = set()
     candidates = [(s,) for s in range(count)]
     for size in range(1, (min(count, n) if gp else count) + 1):
-        frontier = []
-        for label in candidates:
-            c = probe(label)
-            if c is not None:
-                nonempty[label] = c
-                frontier.append(label)
+        frontier = [label for label in candidates if probe(label)]
+        nonempty.update(frontier)
         grown = {
             tuple(sorted(label + (s,)))
             for label in frontier
@@ -419,38 +416,34 @@ def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Calla
             if all(cand[:i] + cand[i + 1 :] in nonempty for i in range(size + 1))
         ]
 
-    if gp:
-        canonical = nonempty
-    else:
-        keys: dict = {}
-        outside: set = set()  # (label, s) whose cell is not inside the region of s
-        for label in sorted(nonempty, key=len, reverse=True):
-            key = set(label)
-            for s in range(count):
-                if s in label:
-                    continue
-                if (
-                    tuple(sorted(label + (s,))) in nonempty
-                    and not any((tuple(sorted(label + (x,))), s) in outside for x in range(count))
-                    and contains(nonempty[label], s)
-                ):
-                    key.add(s)
-                else:
-                    outside.add((label, s))
-            keys[label] = tuple(sorted(key))
-        canonical = {}
-        for label, c in sorted(nonempty.items()):
-            if keys[label] not in canonical:
-                canonical[keys[label]] = replace(c, label=keys[label])
+    keys: dict = {}
+    outside: set = set()  # (label, s) whose cell is not inside the region of s
+    for label in sorted(nonempty, key=lambda label: (-len(label), label)):
+        key = set(label)
+        for s in () if gp else range(count):
+            if s in label:
+                continue
+            if (
+                tuple(sorted(label + (s,))) in nonempty
+                and not any((tuple(sorted(label + (x,))), s) in outside for x in range(count))
+                and contains(label, s)
+            ):
+                key.add(s)
+            else:
+                outside.add((label, s))
+        keys[label] = tuple(sorted(key))
+    first: dict = {}
+    for label in sorted(nonempty):
+        first.setdefault(keys[label], label)
 
-    cells = tuple(canonical[key] for key in sorted(canonical, key=lambda k: (len(k), k)))
-    index = {c.label: i for i, c in enumerate(cells)}
-    order = []
-    for a in cells:
-        for b in cells:
-            if a.label != b.label and set(a.label) > set(b.label):
-                order.append((index[a.label], index[b.label]))
-    return cells, tuple(sorted(order))
+    labels = sorted(first.items(), key=lambda item: (len(item[0]), item[0]))
+    order = tuple(
+        (i, j)
+        for i, (a, _) in enumerate(labels)
+        for j, (b, _) in enumerate(labels)
+        if set(a) > set(b)
+    )
+    return labels, order
 
 
 def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
@@ -466,16 +459,18 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
     gp, _ = check_general_position(S)
     halfspaces, choices, L = _site_table(S, range(len(S)))
     complements = {s: [_complements(h, L) for h in lst] for s, lst in halfspaces.items()}
+    cells: dict = {}
     closures: dict = {}
 
-    def probe(label) -> Optional[DiagramCell]:
-        c, closures[label] = _cell(n, label, choices)
-        return c if c.dim >= 0 else None
+    def probe(label) -> bool:
+        cells[label], closures[label] = _cell(n, label, choices)
+        return cells[label].dim >= 0
 
-    def contains(c: DiagramCell, s: int) -> bool:
-        return all(_inside(D, comp) for D in closures[c.label] for comp in complements[s])
+    def contains(label, s: int) -> bool:
+        return all(_inside(D, comp) for D in closures[label] for comp in complements[s])
 
-    return VoronoiDiagram(*label_lattice(len(S), gp, n, probe, contains))
+    labels, order = label_lattice(len(S), gp, n, probe, contains)
+    return VoronoiDiagram(tuple(replace(cells[label], label=key) for key, label in labels), order)
 
 
 def diagram_to_json(d: VoronoiDiagram) -> dict:

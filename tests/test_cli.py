@@ -94,8 +94,7 @@ def test_verify_lift_surfaces_genericity_as_exit_3(tmp_path):
     assert text is None
 
 
-def test_verify_lift_report(tmp_path, monkeypatch):
-    monkeypatch.setenv("TROPVOR_SEED", "7")
+def test_verify_lift_report(tmp_path):
     code, text = run(tmp_path, "verify-lift", GENERIC_PAIR)
     assert code == 0
     report = json.loads(text)
@@ -251,6 +250,6 @@ def test_piece_generators_match_the_cramer_search(S):
 @example(sites_from_json(DEGENERATE_PAIR))
 @example(sites_from_json(CYCLIC))
 def test_render_bytes_match_the_cramer_search(S):
-    new = cli._render("sites", S, S, 400, 400)
+    new = cli._render("sites", S, 400, 400)
     with patch.object(cli, "_piece_generators", cramer_pieces._piece_generators):
-        assert cli._render("sites", S, S, 400, 400) == new
+        assert cli._render("sites", S, 400, 400) == new

@@ -472,9 +472,9 @@ def test_scaled_block_reuses_false_contains_answers(monkeypatch):
     calls = []
 
     def counted(count, gp, n, probe, contains):
-        def counted_contains(c, s):
-            calls.append((c.label, s))
-            return contains(c, s)
+        def counted_contains(label, s):
+            calls.append((label, s))
+            return contains(label, s)
 
         return label_lattice(count, gp, n, probe, counted_contains)
 

@@ -8,13 +8,15 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cell_walk
 import pool_checker
-from tropvor import lift, voronoi
+from tropvor import delone, lift, voronoi
 from tropvor._lp import ThresholdLedger, zp_mul, zp_neg
 from tropvor.exactnum import RF_ONE, RF_ZERO, RatFun, clear_ratfun_row, ratfun_of_zpoly, valstar
 from tropvor.lift import (
@@ -34,7 +36,7 @@ from tropvor.lift import (
 )
 from tropvor.sites import SiteSet, check_general_position
 from tropvor.tropcore import HPoint, halfspace_contains, halfspace_from_pair, normalize_to_H
-from tropvor.voronoi import region, region_contains, voronoi_diagram
+from tropvor.voronoi import diagram_to_json, region, region_contains, voronoi_diagram
 
 T = RatFun.t_power(1)
 
@@ -443,6 +445,32 @@ def small_site_sets(draw):
         )
     )
     return SiteSet([HPoint(r + (-sum(r),)) for r in rows])
+
+
+@given(small_site_sets())
+@example(sites((0, 0, 0), (1, -1, 0), (0, 1, -1)))  # the field keeps a pair cell
+@example(sites((3, -6, 3), (3, 4, -7), (5, -1, -4)))  # shares a coordinate, yet generic
+@settings(max_examples=40, deadline=None)
+def test_label_walk_matches_the_cell_walk(S):
+    new, old = voronoi_diagram(S), cell_walk.voronoi_diagram(S)
+    assert new.cells == old.cells  # labels, dimensions and pieces
+    assert diagram_to_json(new) == diagram_to_json(old)
+
+    scale = lcm(*(c.denominator for s in S for c in s.coords))
+    lifts = [monomial_lift(s, scale) for s in S]
+    ledgers = ThresholdLedger(), ThresholdLedger()
+    posets = [
+        power_diagram_to_json(walk(lifts, ledger))
+        for walk, ledger in zip((power_diagram_poset, cell_walk.power_diagram_poset), ledgers)
+    ]
+    assert posets[0] == posets[1]
+    assert (ledgers[0].bound, ledgers[0].queries) == (ledgers[1].bound, ledgers[1].queries)
+
+    # hull complexes take integer sites, and only a non-generic set walks
+    Z = SiteSet([HPoint([scale * c for c in s.coords]) for s in S])
+    facets = delone.hull_complex(Z).facets
+    with patch.object(delone, "_power_walk", cell_walk.power_walk):
+        assert facets == delone.hull_complex(Z).facets
 
 
 @given(small_site_sets(), st.none() | st.integers(0, 2**16))

@@ -236,3 +236,29 @@ def test_generators_belong_to_their_hull(xv):
     _, V = xv
     for v in V:
         assert tconv_membership(v, V)
+
+
+def normalised_membership(x, V):
+    """The hull test as it read before: the projection normalised to H."""
+    proj = [max(min(x[j] - v[j] for j in range(x.n)) + v[i] for v in V) for i in range(x.n)]
+    return normalize_to_H(proj).coords == x.coords
+
+
+@st.composite
+def hull_queries(draw):
+    """V and a point x, either a max-plus combination of V or drawn freely."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    V = draw(st.lists(_hpoints(n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        lams = draw(st.lists(st.fractions(-8, 8, max_denominator=4), min_size=len(V), max_size=len(V)))
+        x = normalize_to_H([max(lam + v[i] for lam, v in zip(lams, V)) for i in range(n)])
+    else:
+        x = draw(_hpoints(n))
+    return x, V
+
+
+@given(hull_queries())
+@settings(max_examples=200, deadline=None)
+def test_hull_test_needs_no_normalisation(xV):
+    x, V = xV
+    assert tconv_membership(x, V) == normalised_membership(x, V)
