@@ -145,7 +145,7 @@ def _scarf_facets(S: SiteSet) -> list:
     """Facets of the Scarf complex of the module generated by the x^(-s): a
     nonempty subset of sites is a face when no other subset has the same
     componentwise maximum of the exponents -s."""
-    exponents = [tuple(-int(c) for c in s.coords) for s in S]
+    exponents = [tuple(-c for c in row) for row in S.scaled]
     first: dict = {}  # maximum -> the one subset attaining it, or None
     for size in range(1, len(S) + 1):
         for F in combinations(range(len(S)), size):
@@ -170,7 +170,7 @@ def hull_complex(S: SiteSet) -> SimplicialComplex:
     are the maximal canonical labels of its cells, read off the lifted
     label-lattice walk without computing any dimension.
     """
-    if any(c.denominator != 1 for s in S for c in s.coords):
+    if S.scale != 1:
         raise ValueError("non-integer sites")
     if len(S) > LIFT_CAP or S.n > DIM_CAP:
         raise ValueError("size cap exceeded")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from random import Random
 from typing import Optional, Sequence, Union
 
@@ -57,9 +57,9 @@ from .exactnum import (
     ratfun_of_zpoly,
     valstar,
 )
-from .sites import DIM_CAP, GEN_CONSTRAINT_CAP, LIFT_CAP, SiteSet
-from .tropcore import HPoint, TropicalHalfspace
-from .voronoi import _site_table, diagram_to_json, label_lattice, sufficiently_generic, voronoi_diagram
+from .sites import DIM_CAP, GEN_CONSTRAINT_CAP, LIFT_CAP, SiteSet, signature_reduce
+from .tropcore import HPoint, TropicalHalfspace, halfspace_from_pair
+from .voronoi import diagram_to_json, label_lattice, sufficiently_generic, voronoi_diagram
 
 
 Scalar = Union[RatFun, Fraction]
@@ -402,8 +402,7 @@ def verify_lift(
     if not ok:
         raise ValueError("precondition: genericity")
 
-    scale = lcm(*(c.denominator for s in S for c in s.coords))
-    lifts = [monomial_lift(s, scale) for s in S]
+    lifts = [monomial_lift(s, S.scale) for s in S]
 
     trop = voronoi_diagram(S)
     lifted = power_diagram_poset(lifts, ledger=ledger)
@@ -411,7 +410,6 @@ def verify_lift(
         c.label for c in lifted.cells
     ] and trop.order == lifted.order
 
-    halfspaces = _site_table(S, range(len(S)))[0]
     failures: list = []
     samples = 0
     for a in range(len(S)):
@@ -419,6 +417,7 @@ def verify_lift(
         _, rays = of_polyhedron_generators(P)
         if not rays:
             continue
+        halfspaces = [halfspace_from_pair(S[a], S[t]) for t in signature_reduce(S, a)]
         images = [lift_valstar(r) for r in rays]
         top = tuple(
             max((v for v in col if v is not None), default=None) for col in zip(*images)
@@ -426,10 +425,10 @@ def verify_lift(
         if None not in top:
             pool = 1 + len(rays) + (3 if rng is not None else 0)
             samples += pool
-            if not all(_contains_extended(h, top) for h in halfspaces[a]):
+            if not all(_contains_extended(h, top) for h in halfspaces):
                 failures += [f"sample of region {a}: valstar {list(map(str, top))} escapes"] * pool
         for vals in images:
-            if not all(_contains_extended(h, vals) for h in halfspaces[a]):
+            if not all(_contains_extended(h, vals) for h in halfspaces):
                 failures.append(f"ray of region {a}: valstar {list(map(str, vals))} escapes")
 
     return {

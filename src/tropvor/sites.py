@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
@@ -45,6 +46,20 @@ class SiteSet:
             raise ValueError("sites must be distinct")
         object.__setattr__(self, "sites", pts)
         object.__setattr__(self, "n", n)
+
+    @cached_property
+    def scale(self) -> int:
+        """L, the lcm of every coordinate denominator: every site times L is
+        integral.  Derived on first use, not at construction."""
+        return lcm(*(c.denominator for p in self.sites for c in p.coords))
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """Each site's coordinates times scale, as ints."""
+        L = self.scale
+        return tuple(
+            tuple(c.numerator * (L // c.denominator) for c in p.coords) for p in self.sites
+        )
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -118,15 +133,18 @@ def signature_reduce(S: SiteSet, s: int) -> list:
     b is dominated by that of a; so the cone contributes one site per maximal
     J-projection.  The kept indices satisfy
     intersection over T of h(s,t) = intersection over all b of h(s,b).
+    The cones and dominances are read on the integer sites S.scaled: a
+    positive scaling keeps every sign and every comparison.
     """
     if not 0 <= s < len(S):
         raise ValueError("site index out of range")
-    origin = S[s]
+    rows = S.scaled
+    origin = rows[s]
     cones: dict = {}
-    for idx in range(len(S)):
+    for idx, row in enumerate(rows):
         if idx == s:
             continue
-        v = tuple(b - a for a, b in zip(origin.coords, S[idx].coords))
+        v = tuple(b - a for a, b in zip(origin, row))
         I = tuple(i for i in range(S.n) if v[i] > 0)
         cones.setdefault(I, []).append((idx, v))
     kept: list = []

@@ -138,28 +138,30 @@ def halfspace_contains(h: TropicalHalfspace, x: HPoint) -> bool:
 
 
 def tconv_membership(x: HPoint, V: Sequence[HPoint]) -> bool:
-    """Is x in the tropical convex hull of V?
-
-    Projects x onto the hull: P(x) = max over v of (lambda_v + v) with
-    lambda_v = min_j(x_j - v_j).  The projection is the hull point closest to
-    x, and membership is P(x) = x up to the all-ones translation.  P(x) <= x
-    in every coordinate, so P(x) = x + c(1, ..., 1) forces c = 0 and P(x) is
-    compared with x as it is, without normalising.
-    """
+    """Is x in the tropical convex hull of V?"""
     V = list(V)
     if not V:
         raise ValueError("empty V")
     for v in V:
         if v.n != x.n:
             raise ValueError("dimension mismatch")
-    proj = [None] * x.n
-    for v in V:
-        lam = min(x[j] - v[j] for j in range(x.n))
-        for i in range(x.n):
-            w = lam + v[i]
-            if proj[i] is None or w > proj[i]:
-                proj[i] = w
-    return tuple(proj) == x.coords
+    return _in_tconv(x.coords, [v.coords for v in V])
+
+
+def _in_tconv(x: tuple, V: Sequence[tuple]) -> bool:
+    """Hull membership on plain coordinate tuples of one length, V nonempty.
+
+    Projects x onto the hull: P(x) = max over v of (lambda_v + v) with
+    lambda_v = min_j(x_j - v_j).  The projection is the hull point closest to
+    x, and membership is P(x) = x up to the all-ones translation.  P(x) <= x
+    in every coordinate, so P(x) = x + c(1, ..., 1) forces c = 0 and P(x) is
+    compared with x as it is, without normalising.  Adding a constant to any
+    point, or scaling every point by the same positive number, keeps the
+    answer, so the points need not lie on H and may be integers at a common
+    scale.
+    """
+    lams = [min(xj - vj for xj, vj in zip(x, v)) for v in V]
+    return all(max(lam + v[i] for lam, v in zip(lams, V)) == xi for i, xi in enumerate(x))
 
 
 # ---------------------------------------------------------------------------

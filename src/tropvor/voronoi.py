@@ -6,9 +6,11 @@ term with a strict inequality.  Every row is a difference bound
 x_p - x_q <= r (or < r), so every piece is a polytrope and is kept as its
 closed difference-bound matrix: shortest paths between the n coordinates.
 Every bound is a difference of site coordinates, so it is an integer
-multiple of 1/L for the lcm L of their denominators.  Each entry is one
-Python int at that common scale, with the strict bit packed into its low
-bit, and every decision is exact.  The closure decides everything.  A
+multiple of 1/L for the site set's scale L, the lcm of every coordinate
+denominator.  The edges are built straight from the integer sites, each
+entry is one Python int at that scale, with the strict bit packed into its
+low bit, and every decision is exact.  Halfspace objects and Fractions are
+built only for what a call returns.  The closure decides everything.  A
 piece is empty when it has a negative cycle or a zero cycle through a
 strict bound; its dimension in H is its number of zero-cycle classes minus
 one; it is bounded when every bound is finite; and it lies in a halfspace
@@ -18,9 +20,10 @@ lists the pieces, and a question stops it at the first piece that settles it.
 A polytrope is the tropical hull of its Kleene-star generators, the negated
 rows of its closed matrix.  A bounded region is the union of its pieces and
 is tropically convex, so its tropical extreme points are among the
-generators of its pieces, and hull membership against the other candidates
-picks them out exactly.  In n = 3 the same generators hold the ordinary
-vertices of each piece, which the SVG renderer draws.
+generators of its pieces, and hull membership against the other candidates,
+tested on their integer rows, picks them out exactly.  In n = 3 the same
+generators hold the ordinary vertices of each piece, which the SVG renderer
+draws.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .sites import SITE_CAP, SiteSet, check_general_position, signature_reduce
 from .tropcore import (
     HPoint,
     TropicalHalfspace,
+    _in_tconv,
     asym_distance,
     halfspace_contains,
     halfspace_from_pair,
@@ -43,7 +47,6 @@ from .tropcore import (
     hpoint_from_json,
     hpoint_to_json,
     normalize_to_H,
-    tconv_membership,
 )
 
 
@@ -51,12 +54,12 @@ from .tropcore import (
 # pieces as closed difference-bound matrices
 #
 # Every bound is a difference of halfspace coefficients, so it lies in
-# (1/L)Z for the lcm L of their denominators, and an edge (p, q, r) bounds
-# x_p - x_q by the integer r at that scale, r/L.  D[p][q] is the tightest
-# bound on x_p - x_q packed into one int 2*r + weak: weak is 1 for <= and 0
-# for <, so ints order as the pairs (r, weak) do, a sum is
-# a + b - ((a | b) & 1) (the bits combine by &), and the zero bound is 1.
-# None means no bound.
+# (1/L)Z for the lcm L of their denominators (for a site set, its scale),
+# and an edge (p, q, r) bounds x_p - x_q by the integer r at that scale,
+# r/L.  D[p][q] is the tightest bound on x_p - x_q packed into one int
+# 2*r + weak: weak is 1 for <= and 0 for <, so ints order as the pairs
+# (r, weak) do, a sum is a + b - ((a | b) & 1) (the bits combine by &), and
+# the zero bound is 1.  None means no bound.
 
 
 def _scale(halfspaces: Iterable[TropicalHalfspace]) -> int:
@@ -132,32 +135,41 @@ def _difference_row(n: int, p: int, q: int, r: int, L: int):
     return tuple(coeffs), r // g
 
 
-def _choices(h: TropicalHalfspace, n: int, L: int) -> list:
-    """(weak edges, integer rows) of each piece of h, one per right term j
-    dominating the left."""
-    c, d = _scaled(h.c, L), _scaled(h.d, L)
-    out = []
-    for j, dj in zip(h.J, d):
-        edges = [(i, j, dj - ci) for i, ci in zip(h.I, c)]
-        out.append((edges, tuple(_difference_row(n, *e, L) for e in edges)))
-    return out
-
-
-def _complements(h: TropicalHalfspace, L: int) -> list:
-    """Strict edges of each complement piece of h, one per left term i
-    beating all of J."""
-    c, d = _scaled(h.c, L), _scaled(h.d, L)
-    return [[(j, i, ci - dj) for j, dj in zip(h.J, d)] for i, ci in zip(h.I, c)]
+def _edges(n: int, L: int, I: Sequence[int], c: Sequence, J: Sequence[int], d: Sequence) -> tuple:
+    """(choices, complements) of {x : max_I(c_i + x_i) <= max_J(d_j + x_j)}
+    with integer coefficients at the scale L.  choices holds (weak edges,
+    integer rows) of each piece, one per right term j dominating the left;
+    complements holds the strict edges of each complement piece, one per
+    left term i beating all of J."""
+    choices = []
+    for j, dj in zip(J, d):
+        edges = [(i, j, dj - ci) for i, ci in zip(I, c)]
+        choices.append((edges, tuple(_difference_row(n, *e, L) for e in edges)))
+    return choices, [[(j, i, ci - dj) for j, dj in zip(J, d)] for i, ci in zip(I, c)]
 
 
 def _site_table(S: SiteSet, labels: Iterable[int]) -> tuple:
-    """(halfspaces, choices, L): each site in labels mapped to its
-    signature-reduced halfspaces and to their edge choices, at the scale L
-    common to all of them.  Every tropical question of one call reads this
-    one table."""
-    halfspaces = {s: [halfspace_from_pair(S[s], S[t]) for t in signature_reduce(S, s)] for s in labels}
-    L = _scale(h for lst in halfspaces.values() for h in lst)
-    return halfspaces, {s: [_choices(h, S.n, L) for h in lst] for s, lst in halfspaces.items()}, L
+    """(neighbours, choices, complements): each site s in labels mapped to
+    its signature-reduced neighbours t, and to the edge choices and the
+    complement edges of each halfspace h(s, t), at the scale S.scale.  For
+    the integer sites A = s and B = t, h(s, t) has the left terms
+    I = {i : A_i < B_i} with coefficients -A_i and the right terms -B_j, so
+    no halfspace object is built.  Every tropical question of one call
+    reads this one table."""
+    n, L, rows = S.n, S.scale, S.scaled
+    neighbours = {s: signature_reduce(S, s) for s in labels}
+    choices: dict = {}
+    complements: dict = {}
+    for s, ts in neighbours.items():
+        A = rows[s]
+        built = []
+        for B in (rows[t] for t in ts):
+            I = [i for i in range(n) if A[i] < B[i]]
+            J = [j for j in range(n) if A[j] >= B[j]]
+            built.append(_edges(n, L, I, [-A[i] for i in I], J, [-B[j] for j in J]))
+        choices[s] = [ch for ch, _ in built]
+        complements[s] = [co for _, co in built]
+    return neighbours, choices, complements
 
 
 def _search(choices: Sequence[list], n: int, keep: Optional[Callable] = None):
@@ -208,7 +220,8 @@ def _redundant(complements: list, choices: Sequence[list], n: int) -> bool:
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
     """Is the intersection of the others already inside h?"""
     L = _scale([h, *others])
-    return _redundant(_complements(h, L), [_choices(g, h.n, L) for g in others], h.n)
+    built = [_edges(g.n, L, g.I, _scaled(g.c, L), g.J, _scaled(g.d, L)) for g in (h, *others)]
+    return _redundant(built[0][1], [choices for choices, _ in built[1:]], h.n)
 
 
 def _decode(values: Sequence[int], L: int) -> HPoint:
@@ -271,37 +284,41 @@ def region_contains(r: VoronoiRegion, x: HPoint) -> bool:
 
 
 def _extreme_points(closures: Sequence[list], L: int):
-    """Tropical extreme points of the union of bounded closed pieces, sorted."""
+    """Tropical extreme points of the union of bounded closed pieces, sorted.
+
+    The candidates are the negated rows of the closures, integers at the
+    scale L taken up to the all-ones line; hull membership ignores both, so
+    only the extreme ones are decoded."""
     rows = {tuple(-(b >> 1) for b in row) for D in closures for row in D}
-    candidates = {_decode(v, L) for v in rows}
-    members = sorted(candidates, key=lambda g: g.coords)
-    if len(members) <= 1:
-        return tuple(members)
-    out = []
-    for g in members:
-        rest = [c for c in members if c != g]
-        if not tconv_membership(g, rest):
-            out.append(g)
-    return tuple(out)
+    members = {tuple(x - u[0] for x in u) for u in rows}
+    extreme = [
+        u for u in members if len(members) == 1 or not _in_tconv(u, [v for v in members if v != u])
+    ]
+    return tuple(sorted((_decode(u, L) for u in extreme), key=lambda g: g.coords))
 
 
 def region(S: SiteSet, s: int) -> VoronoiRegion:
     """The region of site s: irredundant halfspaces, plus extreme points when
     the region is bounded.  A halfspace is dropped when the others still
-    kept already lie inside it."""
-    halfspaces, choices, L = _site_table(S, (s,))
-    kept, kept_choices = halfspaces[s], choices[s]
+    kept already lie inside it; only the kept ones become halfspace
+    objects."""
+    neighbours, choices, complements = _site_table(S, (s,))
+    kept, kept_choices, kept_complements = neighbours[s], choices[s], complements[s]
     i = 0
     while i < len(kept):
         rest = kept_choices[:i] + kept_choices[i + 1 :]
-        if rest and _redundant(_complements(kept[i], L), rest, S.n):
-            del kept[i], kept_choices[i]
+        if rest and _redundant(kept_complements[i], rest, S.n):
+            del kept[i], kept_choices[i], kept_complements[i]
         else:
             i += 1
 
     closures = [D for _, D in _search(kept_choices, S.n)]
     bounded = bool(kept) and all(_bounded(D) for D in closures)
-    return VoronoiRegion(s, tuple(kept), _extreme_points(closures, L) if bounded else None)
+    return VoronoiRegion(
+        s,
+        tuple(halfspace_from_pair(S[s], S[t]) for t in kept),
+        _extreme_points(closures, S.scale) if bounded else None,
+    )
 
 
 def classify(S: SiteSet, x: HPoint):
@@ -457,8 +474,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         raise ValueError("instance too large")
     n = S.n
     gp, _ = check_general_position(S)
-    halfspaces, choices, L = _site_table(S, range(len(S)))
-    complements = {s: [_complements(h, L) for h in lst] for s, lst in halfspaces.items()}
+    _, choices, complements = _site_table(S, range(len(S)))
     cells: dict = {}
     closures: dict = {}
 

@@ -20,7 +20,7 @@ from tropvor._lp import INT_RING, PolyRing, ThresholdLedger, lp_affine_dim, lp_s
 from tropvor.exactnum import RatFun, clear_rat_row, clear_ratfun_row
 from tropvor.lift import OFVector, PowerCell, PowerDiagram
 from tropvor.sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet, check_general_position
-from tropvor.voronoi import DiagramCell, VoronoiDiagram, _cell, _complements, _inside, _site_table
+from tropvor.voronoi import DiagramCell, VoronoiDiagram, _cell, _inside, _site_table
 
 
 def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Callable):
@@ -84,8 +84,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         raise ValueError("instance too large")
     n = S.n
     gp, _ = check_general_position(S)
-    halfspaces, choices, L = _site_table(S, range(len(S)))
-    complements = {s: [_complements(h, L) for h in lst] for s, lst in halfspaces.items()}
+    _, choices, complements = _site_table(S, range(len(S)))
     closures: dict = {}
 
     def probe(label) -> Optional[DiagramCell]:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from fraction_table import _choices, _complements, _scale
 from tropvor.tropcore import TropicalHalfspace
-from tropvor.voronoi import _bounded, _choices, _close, _complements, _dim, _free, _inside, _scale
+from tropvor.voronoi import _bounded, _close, _dim, _free, _inside
 
 
 def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, L: int):

@@ -14,18 +14,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from fraction_table import _choices, _scale
 from tropvor.sites import SiteSet, signature_reduce
 from tropvor.tropcore import halfspace_from_pair
-from tropvor.voronoi import (
-    VoronoiRegion,
-    _bounded,
-    _choices,
-    _extreme_points,
-    _scale,
-    _search,
-    cell,
-    halfspace_redundant,
-)
+from tropvor.voronoi import VoronoiRegion, _bounded, _extreme_points, _search, cell, halfspace_redundant
 
 
 def region(S: SiteSet, s: int) -> VoronoiRegion:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tropvor.tropcore import (
     HPoint,
     SignMatrixPair,
+    _in_tconv,
     asym_distance,
     halfspace_contains,
     halfspace_from_pair,
@@ -262,3 +263,35 @@ def hull_queries(draw):
 def test_hull_test_needs_no_normalisation(xV):
     x, V = xV
     assert tconv_membership(x, V) == normalised_membership(x, V)
+
+
+@st.composite
+def integer_hull_queries(draw):
+    """Integer rows x and V at a scale L, x often a max-plus combination of V,
+    with a constant to add to each row and a positive factor."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    row = st.lists(st.integers(-12, 12), min_size=n, max_size=n).map(tuple)
+    V = draw(st.lists(row, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        lams = draw(st.lists(st.integers(-8, 8), min_size=len(V), max_size=len(V)))
+        x = tuple(max(lam + v[i] for lam, v in zip(lams, V)) for i in range(n))
+    else:
+        x = draw(row)
+    shifts = draw(st.lists(st.integers(-20, 20), min_size=len(V) + 1, max_size=len(V) + 1))
+    return x, V, draw(st.integers(1, 6)), shifts, draw(st.integers(1, 7))
+
+
+@given(integer_hull_queries())
+@settings(max_examples=200, deadline=None)
+def test_integer_hull_test_agrees_with_tconv_membership(query):
+    x, V, L, shifts, k = query
+    answer = _in_tconv(x, V)
+
+    def decode(u):
+        return normalize_to_H([Fraction(c, L) for c in u])
+
+    points = [decode(v) for v in V]
+    assert answer == tconv_membership(decode(x), points) == normalised_membership(decode(x), points)
+    moved = [tuple(c + t for c in u) for u, t in zip([x, *V], shifts)]
+    assert _in_tconv(moved[0], moved[1:]) == answer
+    assert _in_tconv(tuple(k * c for c in x), [tuple(k * c for c in v) for v in V]) == answer

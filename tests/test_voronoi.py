@@ -7,10 +7,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_dbm
+import fraction_table
 import recursive_searches
 import reentrant_calls
 from tropvor._lp import (
@@ -23,7 +24,7 @@ from tropvor._lp import (
     lp_solve,
     lp_strictly_feasible,
 )
-from tropvor import voronoi
+from tropvor import delone, lift, voronoi
 from tropvor.delone import delone_complex, dual_graph
 from tropvor.sites import (
     LatticeWindow,
@@ -46,15 +47,15 @@ from tropvor.voronoi import (
     _all_bounded,
     _bounded,
     _cell,
-    _choices,
     _close,
-    _complements,
     _difference_row,
     _dim,
+    _edges,
     _free,
     _has_piece,
     _inside,
     _scale,
+    _scaled,
     _search,
     _site_table,
     cell,
@@ -511,6 +512,11 @@ def halfspace_lists(draw):
     return n, hs, halfspace()
 
 
+def halfspace_edges(h: TropicalHalfspace, L: int) -> tuple:
+    """(choices, complements) of h at the scale L, from the one edge builder."""
+    return _edges(h.n, L, h.I, _scaled(h.c, L), h.J, _scaled(h.d, L))
+
+
 def decoded(D: list, L: int) -> list:
     """The (Fraction bound, weak bit) matrix of a packed integer matrix."""
     return [[None if e is None else (Fraction(e >> 1, L), e & 1) for e in row] for row in D]
@@ -521,10 +527,10 @@ def decoded(D: list, L: int) -> list:
 def test_integer_closure_decides_like_the_fraction_kernel(system):
     n, hs, probe = system
     L = _scale(hs + [probe])
-    new = list(_search([_choices(h, n, L) for h in hs], n))
+    new = list(_search([halfspace_edges(h, L)[0] for h in hs], n))
     old = fraction_dbm._pieces(hs, n)
     assert [rows for rows, _ in new] == [rows for rows, _ in old]
-    complements = _complements(probe, L)
+    complements = halfspace_edges(probe, L)[1]
     old_complements = [
         fraction_dbm._complement_edges(probe, i, ci) for i, ci in zip(probe.I, probe.c)
     ]
@@ -553,7 +559,7 @@ def test_lazy_search_answers_like_the_recursions(system):
     n, hs, probe = system
     L = _scale(hs + [probe])
     # the same rows and closed matrices, in the same order
-    choices = [_choices(h, n, L) for h in hs]
+    choices = [halfspace_edges(h, L)[0] for h in hs]
     assert list(_search(choices, n)) == recursive_searches._pieces(hs, n, L)
     for want in range(-1, n):
         assert _has_piece(choices, n, want) == recursive_searches._has_piece(choices, n, want)
@@ -582,7 +588,7 @@ def test_redundancy_test_stops_at_the_first_piece_outside(monkeypatch):
         lazy += calls[0]
         calls[0] = 0
         L = _scale([h, *rest])
-        list(_search([_choices(g, 3, L) for g in rest], 3))
+        list(_search([halfspace_edges(g, L)[0] for g in rest], 3))
         full += calls[0]
     assert 0 < lazy < full
 
@@ -697,8 +703,8 @@ def test_dimension_probe_on_a2_labels():
 
 
 def counted_table_builds(monkeypatch) -> dict:
-    """Count the calls of voronoi._choices and of its halfspace_from_pair."""
-    counts = dict.fromkeys(("_choices", "halfspace_from_pair"), 0)
+    """Count the calls of voronoi._edges and of its halfspace_from_pair."""
+    counts = dict.fromkeys(("_edges", "halfspace_from_pair"), 0)
     for name in counts:
 
         def counted(*args, _fn=getattr(voronoi, name), _name=name):
@@ -720,6 +726,8 @@ def random_sites(seed: int, count: int) -> SiteSet:
 
 
 def test_each_halfspace_gets_its_edge_choices_once(monkeypatch):
+    # edges are built once per signature-reduced halfspace, straight from the
+    # integer sites; halfspace objects only for a region's kept halfspaces
     L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
     S = random_sites(3, 5)
     everyone = range(len(S))
@@ -735,10 +743,11 @@ def test_each_halfspace_gets_its_edge_choices_once(monkeypatch):
     counts = counted_table_builds(monkeypatch)
     for T, call, labels in calls:
         counts.update(dict.fromkeys(counts, 0))
-        call()
+        result = call()
         built = sum(len(signature_reduce(T, s)) for s in labels)
         assert built > 0
-        assert counts == dict.fromkeys(counts, built)
+        returned = len(result.halfspaces) if isinstance(result, VoronoiRegion) else 0
+        assert counts == {"_edges": built, "halfspace_from_pair": returned}
 
 
 def test_region_and_the_genericity_test_reenter_no_public_entry_point(monkeypatch):
@@ -790,3 +799,74 @@ def test_reentrant_reference_cases():
         new = region(S, 0)
         assert new.bounded
         assert region_to_json(new) == region_to_json(reentrant_calls.region(S, 0))
+
+
+# ---------------------------------------------------------------------------
+# integer sites against the Fraction-built table
+
+
+@st.composite
+def rational_site_sets(draw, max_size: int = 6):
+    """2 to max_size distinct sites in n = 3 or 4 with denominators 1, 2, 3
+    and 5, so that the site set's scale is often a proper multiple of the lcm
+    of one table's halfspace coefficients."""
+    n = draw(st.integers(3, 4))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    heads = draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=2, max_size=max_size, unique=True))
+    return SiteSet([H(*r, -sum(r)) for r in heads])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_site_sets())
+def test_integer_sites_answer_like_the_fraction_table(S):
+    everyone = range(len(S))
+    neighbours, choices, complements = _site_table(S, everyone)
+    halfspaces, old_choices, L = fraction_table._site_table(S, everyone)
+    # the table's own lcm divides the site set's scale; every edge is the
+    # same bound at the finer scale and every integer row is the same
+    k, rem = divmod(S.scale, L)
+    assert rem == 0
+
+    def rescaled(edges):
+        return [(p, q, r * k) for p, q, r in edges]
+
+    for s in everyone:
+        assert neighbours[s] == signature_reduce(S, s) == fraction_table.signature_reduce(S, s)
+        assert [halfspace_from_pair(S[s], S[t]) for t in neighbours[s]] == halfspaces[s]
+        assert choices[s] == [[(rescaled(e), rows) for e, rows in ch] for ch in old_choices[s]]
+        assert complements[s] == [
+            [rescaled(e) for e in fraction_table._complements(h, L)] for h in halfspaces[s]
+        ]
+        assert region(S, s) == fraction_table.region(S, s)
+    for size in (1, 2, 3):
+        for label in combinations(everyone, size):
+            old = _cell(S.n, label, fraction_table._site_table(S, label)[1])[0]
+            assert cell(S, label) == old
+    assert voronoi_diagram(S) == fraction_table.voronoi_diagram(S)
+    new = dual_graph(S), delone_complex(S), sufficiently_generic(S)
+    with pytest.MonkeyPatch.context() as mp:
+        # both read only the choices, the second entry of either table
+        mp.setattr(voronoi, "_site_table", fraction_table._site_table)
+        mp.setattr(delone, "_site_table", fraction_table._site_table)
+        assert (dual_graph(S), delone_complex(S), sufficiently_generic(S)) == new
+
+
+def test_bounded_regions_match_the_fraction_table():
+    # random sets rarely have a bounded region; these windows' origins do
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    for S in [L2, a2_window(2)] + seeded_windows():
+        new = region(S, 0)
+        assert new.bounded
+        assert new == fraction_table.region(S, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_site_sets(max_size=3))
+def test_verify_lift_reports_like_the_fraction_table(S):
+    assume(sufficiently_generic(S)[0])
+    report = lift.verify_lift(S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voronoi, "_site_table", fraction_table._site_table)
+        mp.setattr(lift, "voronoi_diagram", fraction_table.voronoi_diagram)
+        mp.setattr(lift, "signature_reduce", fraction_table.signature_reduce)
+        assert lift.verify_lift(S) == report
