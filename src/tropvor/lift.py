@@ -57,7 +57,7 @@ from .exactnum import (
     ratfun_of_zpoly,
     valstar,
 )
-from .sites import DIM_CAP, GEN_CONSTRAINT_CAP, LIFT_CAP, SiteSet, signature_reduce
+from .sites import DIM_CAP, GEN_CONSTRAINT_CAP, LIFT_CAP, SiteSet
 from .tropcore import HPoint, TropicalHalfspace, halfspace_from_pair
 from .voronoi import diagram_to_json, label_lattice, sufficiently_generic, voronoi_diagram
 
@@ -394,9 +394,9 @@ def verify_lift(
     once and counted for the sampling pool it stands for: the sum of the
     rays, that sum plus each ray again, and three random combinations when
     rng is given.  rng draws nothing; it only adds the three.  Images are
-    tested against the site's signature-reduced halfspaces, whose
-    intersection is the Voronoi region; membership is shift-invariant, so
-    no image is normalised.
+    tested against the halfspaces h(a, b) of every other site b, whose
+    intersection is the Voronoi region of a by definition; membership is
+    shift-invariant, so no image is normalised.
     """
     ok, _ = sufficiently_generic(S)
     if not ok:
@@ -417,7 +417,7 @@ def verify_lift(
         _, rays = of_polyhedron_generators(P)
         if not rays:
             continue
-        halfspaces = [halfspace_from_pair(S[a], S[t]) for t in signature_reduce(S, a)]
+        halfspaces = [halfspace_from_pair(S[a], S[b]) for b in range(len(S)) if b != a]
         images = [lift_valstar(r) for r in rays]
         top = tuple(
             max((v for v in col if v is not None), default=None) for col in zip(*images)

@@ -1,20 +1,18 @@
 """Voronoi regions, cells, and the diagram poset, decided by shortest paths.
 
 Every tropical halfspace turns into ordinary linear pieces by branching on
-which right-side term attains the maximum; complements branch on the left
-term with a strict inequality.  Every row is a difference bound
-x_p - x_q <= r (or < r), so every piece is a polytrope and is kept as its
-closed difference-bound matrix: shortest paths between the n coordinates.
-Every bound is a difference of site coordinates, so it is an integer
-multiple of 1/L for the site set's scale L, the lcm of every coordinate
-denominator.  The edges are built straight from the integer sites, each
-entry is one Python int at that scale, with the strict bit packed into its
-low bit, and every decision is exact.  Halfspace objects and Fractions are
-built only for what a call returns.  The closure decides everything.  A
-piece is empty when it has a negative cycle or a zero cycle through a
-strict bound; its dimension in H is its number of zero-cycle classes minus
-one; it is bounded when every bound is finite; and it lies in a halfspace
-when every strict complement piece added to it is empty.  One lazy search
+which right-side term attains the maximum.  Every row is a difference bound
+x_p - x_q <= r, so every piece is a polytrope and is kept as its closed
+difference-bound matrix: shortest paths between the n coordinates.  Every
+bound is a difference of site coordinates, so it is an integer multiple of
+1/L for the site set's scale L, the lcm of every coordinate denominator.
+The edges are built straight from the integer sites, each entry is one
+Python int at that scale, and every decision is exact.  Halfspace objects
+and Fractions are built only for what a call returns.  The closure decides
+everything.  A piece is empty when it has a negative cycle; its dimension
+in H is its number of zero-cycle classes minus one; it is bounded when
+every bound is finite; and it lies in a halfspace when, for each left term,
+the closure already bounds that term by one right term.  One lazy search
 lists the pieces, and a question stops it at the first piece that settles it.
 
 A polytrope is the tropical hull of its Kleene-star generators, the negated
@@ -56,10 +54,7 @@ from .tropcore import (
 # Every bound is a difference of halfspace coefficients, so it lies in
 # (1/L)Z for the lcm L of their denominators (for a site set, its scale),
 # and an edge (p, q, r) bounds x_p - x_q by the integer r at that scale,
-# r/L.  D[p][q] is the tightest bound on x_p - x_q packed into one int
-# 2*r + weak: weak is 1 for <= and 0 for <, so ints order as the pairs
-# (r, weak) do, a sum is a + b - ((a | b) & 1) (the bits combine by &), and
-# the zero bound is 1.  None means no bound.
+# r/L.  D[p][q] is the tightest such bound, None when there is none.
 
 
 def _scale(halfspaces: Iterable[TropicalHalfspace]) -> int:
@@ -73,7 +68,7 @@ def _scaled(values: Sequence[Fraction], L: int) -> list:
 
 def _free(n: int) -> list:
     """The closed matrix of all of H."""
-    return [[1 if p == q else None for q in range(n)] for p in range(n)]
+    return [[0 if p == q else None for q in range(n)] for p in range(n)]
 
 
 def _tighten(D: list, p: int, q: int, bound: int) -> Optional[list]:
@@ -81,13 +76,12 @@ def _tighten(D: list, p: int, q: int, bound: int) -> Optional[list]:
     that system is empty.
 
     D is closed, so a new shortest path takes the new edge once,
-    i -> p -> q -> j, and a new negative or strict zero cycle closes the
-    edge with D[q][p].
+    i -> p -> q -> j, and a new negative cycle closes the edge with D[q][p].
     """
     if D[p][q] is not None and D[p][q] <= bound:
         return D
     back = D[q][p]
-    if back is not None and back + bound - ((back | bound) & 1) < 1:
+    if back is not None and back + bound < 0:
         return None
     out = [row[:] for row in D]
     tail = D[q]
@@ -95,29 +89,28 @@ def _tighten(D: list, p: int, q: int, bound: int) -> Optional[list]:
         a = head[p]
         if a is None:
             continue
-        a += bound - ((a | bound) & 1)
+        a += bound
         for j, b in enumerate(tail):
             if b is not None:
-                w = a + b - ((a | b) & 1)
+                w = a + b
                 if row[j] is None or w < row[j]:
                     row[j] = w
     return out
 
 
-def _close(D: Optional[list], edges, weak: int) -> Optional[list]:
-    """D with every edge (p, q, r), x_p - x_q <= r/L (weak) or < r/L, added."""
+def _close(D: Optional[list], edges) -> Optional[list]:
+    """D with every edge (p, q, r), x_p - x_q <= r/L, added."""
     for p, q, r in edges:
         if D is None:
             break
-        D = _tighten(D, p, q, 2 * r + weak)
+        D = _tighten(D, p, q, r)
     return D
 
 
 def _dim(D: list) -> int:
     """Dimension in H of a nonempty closed piece: zero-cycle classes minus 1."""
     return sum(
-        all(D[i][j] is None or D[j][i] is None or (D[i][j] >> 1) + (D[j][i] >> 1) != 0
-            for j in range(i))
+        all(D[i][j] is None or D[j][i] is None or D[i][j] + D[j][i] != 0 for j in range(i))
         for i in range(len(D))
     ) - 1
 
@@ -135,41 +128,36 @@ def _difference_row(n: int, p: int, q: int, r: int, L: int):
     return tuple(coeffs), r // g
 
 
-def _edges(n: int, L: int, I: Sequence[int], c: Sequence, J: Sequence[int], d: Sequence) -> tuple:
-    """(choices, complements) of {x : max_I(c_i + x_i) <= max_J(d_j + x_j)}
-    with integer coefficients at the scale L.  choices holds (weak edges,
-    integer rows) of each piece, one per right term j dominating the left;
-    complements holds the strict edges of each complement piece, one per
-    left term i beating all of J."""
+def _edges(n: int, L: int, I: Sequence[int], c: Sequence, J: Sequence[int], d: Sequence) -> list:
+    """The choices of {x : max_I(c_i + x_i) <= max_J(d_j + x_j)} with integer
+    coefficients at the scale L: (edges, integer rows) of each piece, one per
+    right term j dominating the left.  Each piece lists its edges (i, j, r)
+    in the order of I, so zipping the pieces' edges groups them by i."""
     choices = []
     for j, dj in zip(J, d):
         edges = [(i, j, dj - ci) for i, ci in zip(I, c)]
         choices.append((edges, tuple(_difference_row(n, *e, L) for e in edges)))
-    return choices, [[(j, i, ci - dj) for j, dj in zip(J, d)] for i, ci in zip(I, c)]
+    return choices
 
 
 def _site_table(S: SiteSet, labels: Iterable[int]) -> tuple:
-    """(neighbours, choices, complements): each site s in labels mapped to
-    its signature-reduced neighbours t, and to the edge choices and the
-    complement edges of each halfspace h(s, t), at the scale S.scale.  For
-    the integer sites A = s and B = t, h(s, t) has the left terms
-    I = {i : A_i < B_i} with coefficients -A_i and the right terms -B_j, so
-    no halfspace object is built.  Every tropical question of one call
-    reads this one table."""
+    """(neighbours, choices): each site s in labels mapped to its
+    signature-reduced neighbours t, and to the edge choices of each
+    halfspace h(s, t), at the scale S.scale.  For the integer sites A = s
+    and B = t, h(s, t) has the left terms I = {i : A_i < B_i} with
+    coefficients -A_i and the right terms -B_j, so no halfspace object is
+    built.  Every tropical question of one call reads this one table."""
     n, L, rows = S.n, S.scale, S.scaled
     neighbours = {s: signature_reduce(S, s) for s in labels}
     choices: dict = {}
-    complements: dict = {}
     for s, ts in neighbours.items():
         A = rows[s]
-        built = []
+        choices[s] = []
         for B in (rows[t] for t in ts):
             I = [i for i in range(n) if A[i] < B[i]]
             J = [j for j in range(n) if A[j] >= B[j]]
-            built.append(_edges(n, L, I, [-A[i] for i in I], J, [-B[j] for j in J]))
-        choices[s] = [ch for ch, _ in built]
-        complements[s] = [co for _, co in built]
-    return neighbours, choices, complements
+            choices[s].append(_edges(n, L, I, [-A[i] for i in I], J, [-B[j] for j in J]))
+    return neighbours, choices
 
 
 def _search(choices: Sequence[list], n: int, keep: Optional[Callable] = None):
@@ -189,7 +177,7 @@ def _search(choices: Sequence[list], n: int, keep: Optional[Callable] = None):
             yield rows, D
             continue
         for edges, piece_rows in reversed(choices[idx]):
-            E = _close(D, edges, 1)
+            E = _close(D, edges)
             if E is not None:
                 stack.append((idx + 1, rows + piece_rows, E))
 
@@ -206,22 +194,32 @@ def _all_bounded(choices: Sequence[list], n: int) -> bool:
     return not any(_search(choices, n, lambda D: not _bounded(D)))
 
 
-def _inside(D: list, complements: list) -> bool:
-    """Does the piece D lie in the halfspace with these complement edges?"""
-    return all(_close(D, edges, 0) is None for edges in complements)
+def _inside(D: list, choices: list) -> bool:
+    """Does the nonempty closed piece D lie in the halfspace with these edge
+    choices?  Left term i beats every right term j where the reversals
+    x_i - x_j > r of i's edges (i, j, r) hold.  They all meet at node i, so a
+    simple cycle takes at most one, and D[i][j] closes it: D misses that part
+    exactly when D[i][j] <= r for some j."""
+    for col in zip(*[edges for edges, _ in choices]):
+        for i, j, r in col:
+            if D[i][j] is not None and D[i][j] <= r:
+                break
+        else:
+            return False
+    return True
 
 
-def _redundant(complements: list, choices: Sequence[list], n: int) -> bool:
+def _redundant(h: list, choices: Sequence[list], n: int) -> bool:
     """Does every piece of these halfspace choices lie in the halfspace with
-    these complement edges?  The search stops at the first piece outside."""
-    return all(_inside(D, complements) for _, D in _search(choices, n))
+    the choices h?  The search stops at the first piece outside."""
+    return all(_inside(D, h) for _, D in _search(choices, n))
 
 
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
     """Is the intersection of the others already inside h?"""
     L = _scale([h, *others])
     built = [_edges(g.n, L, g.I, _scaled(g.c, L), g.J, _scaled(g.d, L)) for g in (h, *others)]
-    return _redundant(built[0][1], [choices for choices, _ in built[1:]], h.n)
+    return _redundant(built[0], built[1:], h.n)
 
 
 def _decode(values: Sequence[int], L: int) -> HPoint:
@@ -246,9 +244,9 @@ def _piece_generators(piece) -> tuple:
     """
     edges = [(c.index(max(c)), c.index(-max(c)), max(c), r) for c, r in piece]
     L = lcm(*(a for _, _, a, _ in edges))
-    D = _close(_free(3), [(p, q, r * (L // a)) for p, q, a, r in edges], 1)
-    points = [[-(b >> 1) for b in row] for row in D if None not in row]
-    points += [[b >> 1 for b in col] for col in zip(*D) if None not in col]
+    D = _close(_free(3), [(p, q, r * (L // a)) for p, q, a, r in edges])
+    points = [[-b for b in row] for row in D if None not in row]
+    points += [list(col) for col in zip(*D) if None not in col]
     lines = [{p, q} for p, q, _, _ in edges]
     keyed = []
     for u in {tuple(x - v[0] for x in v) for v in points}:
@@ -289,7 +287,7 @@ def _extreme_points(closures: Sequence[list], L: int):
     The candidates are the negated rows of the closures, integers at the
     scale L taken up to the all-ones line; hull membership ignores both, so
     only the extreme ones are decoded."""
-    rows = {tuple(-(b >> 1) for b in row) for D in closures for row in D}
+    rows = {tuple(-b for b in row) for D in closures for row in D}
     members = {tuple(x - u[0] for x in u) for u in rows}
     extreme = [
         u for u in members if len(members) == 1 or not _in_tconv(u, [v for v in members if v != u])
@@ -302,13 +300,13 @@ def region(S: SiteSet, s: int) -> VoronoiRegion:
     the region is bounded.  A halfspace is dropped when the others still
     kept already lie inside it; only the kept ones become halfspace
     objects."""
-    neighbours, choices, complements = _site_table(S, (s,))
-    kept, kept_choices, kept_complements = neighbours[s], choices[s], complements[s]
+    neighbours, choices = _site_table(S, (s,))
+    kept, kept_choices = neighbours[s], choices[s]
     i = 0
     while i < len(kept):
         rest = kept_choices[:i] + kept_choices[i + 1 :]
-        if rest and _redundant(kept_complements[i], rest, S.n):
-            del kept[i], kept_choices[i], kept_complements[i]
+        if rest and _redundant(kept_choices[i], rest, S.n):
+            del kept[i], kept_choices[i]
         else:
             i += 1
 
@@ -474,7 +472,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         raise ValueError("instance too large")
     n = S.n
     gp, _ = check_general_position(S)
-    _, choices, complements = _site_table(S, range(len(S)))
+    _, choices = _site_table(S, range(len(S)))
     cells: dict = {}
     closures: dict = {}
 
@@ -483,7 +481,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         return cells[label].dim >= 0
 
     def contains(label, s: int) -> bool:
-        return all(_inside(D, comp) for D in closures[label] for comp in complements[s])
+        return all(_inside(D, h) for D in closures[label] for h in choices[s])
 
     labels, order = label_lattice(len(S), gp, n, probe, contains)
     return VoronoiDiagram(tuple(replace(cells[label], label=key) for key, label in labels), order)

@@ -84,7 +84,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         raise ValueError("instance too large")
     n = S.n
     gp, _ = check_general_position(S)
-    _, choices, complements = _site_table(S, range(len(S)))
+    _, choices = _site_table(S, range(len(S)))
     closures: dict = {}
 
     def probe(label) -> Optional[DiagramCell]:
@@ -92,7 +92,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
         return c if c.dim >= 0 else None
 
     def contains(c: DiagramCell, s: int) -> bool:
-        return all(_inside(D, comp) for D in closures[c.label] for comp in complements[s])
+        return all(_inside(D, h) for D in closures[c.label] for h in choices[s])
 
     return VoronoiDiagram(*label_lattice(len(S), gp, n, probe, contains))
 

@@ -5,9 +5,10 @@ set carried its own scale.  signature_reduce compared Fraction differences,
 the site table built a TropicalHalfspace for every signature-reduced pair
 and scaled its coefficients by the lcm of the denominators in that one
 table, and the extreme points of a region decoded every candidate row to an
-HPoint before testing hull membership on Fractions.  region and
-voronoi_diagram below are the entry points that read that table.  The tests
-compare every tropical output with the integer path.
+HPoint before testing hull membership on Fractions.  Containment in a
+halfspace closed its strict complement pieces with the packed kernel of
+packed_dbm.  region and voronoi_diagram below are the entry points that read
+that table.  The tests compare every tropical output with the integer path.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+import packed_dbm
 from tropvor.sites import SITE_CAP, SiteSet, _nondominated_indices, check_general_position
 from tropvor.tropcore import TropicalHalfspace, halfspace_from_pair, tconv_membership
 from tropvor.voronoi import (
@@ -26,8 +28,6 @@ from tropvor.voronoi import (
     _cell,
     _decode,
     _difference_row,
-    _inside,
-    _redundant,
     _search,
     label_lattice,
 )
@@ -92,7 +92,7 @@ def _site_table(S: SiteSet, labels: Iterable[int]) -> tuple:
 
 def _extreme_points(closures: Sequence[list], L: int):
     """Tropical extreme points of the union of bounded closed pieces, sorted."""
-    rows = {tuple(-(b >> 1) for b in row) for D in closures for row in D}
+    rows = {tuple(-b for b in row) for D in closures for row in D}
     candidates = {_decode(v, L) for v in rows}
     members = sorted(candidates, key=lambda g: g.coords)
     if len(members) <= 1:
@@ -111,7 +111,10 @@ def region(S: SiteSet, s: int) -> VoronoiRegion:
     i = 0
     while i < len(kept):
         rest = kept_choices[:i] + kept_choices[i + 1 :]
-        if rest and _redundant(_complements(kept[i], L), rest, S.n):
+        complements = _complements(kept[i], L)
+        if rest and all(
+            packed_dbm._inside(packed_dbm.packed(D), complements) for _, D in _search(rest, S.n)
+        ):
             del kept[i], kept_choices[i]
         else:
             i += 1
@@ -132,11 +135,14 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
     closures: dict = {}
 
     def probe(label) -> bool:
-        cells[label], closures[label] = _cell(n, label, choices)
+        cells[label], found = _cell(n, label, choices)
+        closures[label] = [packed_dbm.packed(D) for D in found]
         return cells[label].dim >= 0
 
     def contains(label, s: int) -> bool:
-        return all(_inside(D, comp) for D in closures[label] for comp in complements[s])
+        return all(
+            packed_dbm._inside(D, comp) for D in closures[label] for comp in complements[s]
+        )
 
     labels, order = label_lattice(len(S), gp, n, probe, contains)
     return VoronoiDiagram(tuple(replace(cells[label], label=key) for key, label in labels), order)

@@ -6,14 +6,15 @@ difference-bound matrices: _pieces built every piece, _has_piece pruned
 prefixes below a wanted dimension, and _all_bounded accepted prefixes that
 were already bounded.  halfspace_redundant built every piece of the others
 before it tested any of them.  The bodies below are those functions as they
-were; the tests compare them with the explicit-stack search.
+were, on the weak closure; the tests compare them with the explicit-stack
+search.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from fraction_table import _choices, _complements, _scale
+from fraction_table import _choices, _scale
 from tropvor.tropcore import TropicalHalfspace
 from tropvor.voronoi import _bounded, _close, _dim, _free, _inside
 
@@ -29,7 +30,7 @@ def _pieces(halfspaces: Sequence[TropicalHalfspace], n: int, L: int):
             out.append((rows, D))
             return
         for edges, piece_rows in choices[idx]:
-            E = _close(D, edges, 1)
+            E = _close(D, edges)
             if E is not None:
                 rec(idx + 1, rows + piece_rows, E)
 
@@ -53,7 +54,7 @@ def _has_piece(choices: Sequence[list], n: int, want: int) -> bool:
             return True
         return any(
             E is not None and rec(idx + 1, E)
-            for E in (_close(D, edges, 1) for edges, _ in choices[idx])
+            for E in (_close(D, edges) for edges, _ in choices[idx])
         )
 
     return want < 0 or rec(0, _free(n))
@@ -70,7 +71,7 @@ def _all_bounded(choices: Sequence[list], n: int) -> bool:
             return False
         return all(
             E is None or rec(idx + 1, E)
-            for E in (_close(D, edges, 1) for edges, _ in choices[idx])
+            for E in (_close(D, edges) for edges, _ in choices[idx])
         )
 
     return rec(0, _free(n))
@@ -79,5 +80,5 @@ def _all_bounded(choices: Sequence[list], n: int) -> bool:
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
     """Is the intersection of the others already inside h?"""
     L = _scale([h, *others])
-    complements = _complements(h, L)
-    return all(_inside(D, complements) for _, D in _pieces(others, h.n, L))
+    choices = _choices(h, h.n, L)
+    return all(_inside(D, choices) for _, D in _pieces(others, h.n, L))

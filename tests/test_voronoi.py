@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fraction_dbm
 import fraction_table
+import packed_dbm
 import recursive_searches
 import reentrant_calls
 from tropvor._lp import (
@@ -458,33 +459,45 @@ def test_pair_regions_partition_grid(data):
 
 @st.composite
 def difference_systems(draw):
-    """(n, weak edges, strict edges); an edge (p, q, r) bounds x_p - x_q by r.
-    Reversed copies of some weak edges make equalities, hence zero cycles."""
+    """(n, edges, probe); an edge (p, q, r) bounds x_p - x_q by r, and probe
+    is a halfspace to test containment in.  Reversed copies of some edges
+    make equalities, hence zero cycles."""
     n = draw(st.integers(2, 5))
     bound = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
     edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), bound).filter(lambda e: e[0] != e[1])
     weak = draw(st.lists(edge, max_size=8))
     if weak:
         weak += [(q, p, -r) for p, q, r in draw(st.lists(st.sampled_from(weak), max_size=2))]
-    return n, weak, draw(st.lists(edge, max_size=3))
+    left = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda m: 0 < sum(m) < n))
+    I = [i for i in range(n) if left[i]]
+    J = [j for j in range(n) if not left[j]]
+    probe = TropicalHalfspace(I, [draw(bound) for _ in I], J, [draw(bound) for _ in J])
+    return n, weak, probe
 
 
 @settings(max_examples=300, deadline=None)
 @given(difference_systems())
 def test_closure_decides_like_the_lp_kernel(system):
-    n, weak, strict = system
+    n, weak, probe = system
     # every bound lies in (1/6)Z, so the kernel takes it scaled by 6
     weak = [(p, q, int(6 * r)) for p, q, r in weak]
-    strict = [(p, q, int(6 * r)) for p, q, r in strict]
     ones = [([1] * n, 0)]
     weak_rows = [_difference_row(n, *e, 6) for e in weak]
-    strict_rows = [_difference_row(n, *e, 6) for e in strict]
-    D = _close(_free(n), weak, 1)
+    D = _close(_free(n), weak)
     assert (D is not None) == (lp_feasible(n, ones, weak_rows, INT_RING) is not None)
-    E = _close(D, strict, 0)
-    assert (E is not None) == lp_strictly_feasible(n, ones, strict_rows, weak_rows, INT_RING)
     if D is None:
         return
+    # the piece lies in the probe when, for every left term i, the points
+    # where i beats every right term j (x_j - x_i < c_i - d_j) are not
+    # strictly feasible with the piece's rows
+    outside = [
+        [_difference_row(n, j, i, int(6 * (ci - dj)), 6) for j, dj in zip(probe.J, probe.d)]
+        for i, ci in zip(probe.I, probe.c)
+    ]
+    inside = _inside(D, _edges(n, 6, probe.I, _scaled(probe.c, 6), probe.J, _scaled(probe.d, 6)))
+    assert inside == all(
+        not lp_strictly_feasible(n, ones, rows, weak_rows, INT_RING) for rows in outside
+    )
     assert _dim(D) == lp_affine_dim(n, ones, weak_rows, INT_RING)
     unbounded = any(
         lp_solve(n, ones, weak_rows, [sgn * (i == k) for i in range(n)], INT_RING).status == UNBOUNDED
@@ -512,14 +525,14 @@ def halfspace_lists(draw):
     return n, hs, halfspace()
 
 
-def halfspace_edges(h: TropicalHalfspace, L: int) -> tuple:
-    """(choices, complements) of h at the scale L, from the one edge builder."""
+def halfspace_edges(h: TropicalHalfspace, L: int) -> list:
+    """The edge choices of h at the scale L, from the one edge builder."""
     return _edges(h.n, L, h.I, _scaled(h.c, L), h.J, _scaled(h.d, L))
 
 
 def decoded(D: list, L: int) -> list:
-    """The (Fraction bound, weak bit) matrix of a packed integer matrix."""
-    return [[None if e is None else (Fraction(e >> 1, L), e & 1) for e in row] for row in D]
+    """The (Fraction bound, weak bit) matrix of an integer matrix."""
+    return [[None if e is None else (Fraction(e, L), 1) for e in row] for row in D]
 
 
 @settings(max_examples=200, deadline=None)
@@ -527,26 +540,40 @@ def decoded(D: list, L: int) -> list:
 def test_integer_closure_decides_like_the_fraction_kernel(system):
     n, hs, probe = system
     L = _scale(hs + [probe])
-    new = list(_search([halfspace_edges(h, L)[0] for h in hs], n))
+    new = list(_search([halfspace_edges(h, L) for h in hs], n))
     old = fraction_dbm._pieces(hs, n)
     assert [rows for rows, _ in new] == [rows for rows, _ in old]
-    complements = halfspace_edges(probe, L)[1]
-    old_complements = [
-        fraction_dbm._complement_edges(probe, i, ci) for i, ci in zip(probe.I, probe.c)
-    ]
+    choices = halfspace_edges(probe, L)
     for (_, D), (_, E) in zip(new, old):
         assert decoded(D, L) == E
         assert _dim(D) == fraction_dbm._dim(E)
         assert _bounded(D) == fraction_dbm._bounded(E)
-        assert _inside(D, complements) == fraction_dbm._inside(E, probe)
-        for edges, old_edges in zip(complements, old_complements):
-            C = _close(D, edges, 0)
-            F = fraction_dbm._close(E, old_edges, 0)
-            assert (C is None) == (F is None)
-            if C is not None:
-                assert decoded(C, L) == F
-                assert _dim(C) == fraction_dbm._dim(F)
+        assert _inside(D, choices) == fraction_dbm._inside(E, probe)
     assert halfspace_redundant(probe, hs) == all(fraction_dbm._inside(E, probe) for _, E in old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_lists())
+def test_weak_closure_decides_like_the_packed_kernel(system):
+    # each piece's closure is the packed kernel's closure of the same edges,
+    # every entry b read as 2b + 1, and containment read off the closure
+    # answers like closing each strict complement piece
+    n, hs, probe = system
+    L = _scale(hs + [probe])
+    choices = [halfspace_edges(h, L) for h in hs]
+    old = []
+    for picked in product(*choices):
+        E = packed_dbm._close(packed_dbm._free(n), [e for edges, _ in picked for e in edges], 1)
+        if E is not None:
+            old.append((sum((rows for _, rows in picked), ()), E))
+    new = list(_search(choices, n))
+    assert [(rows, packed_dbm.packed(D)) for rows, D in new] == old
+    for _, D in new:
+        for h in [probe, *hs]:
+            complements = fraction_table._complements(h, L)
+            assert _inside(D, halfspace_edges(h, L)) == packed_dbm._inside(
+                packed_dbm.packed(D), complements
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +586,7 @@ def test_lazy_search_answers_like_the_recursions(system):
     n, hs, probe = system
     L = _scale(hs + [probe])
     # the same rows and closed matrices, in the same order
-    choices = [halfspace_edges(h, L)[0] for h in hs]
+    choices = [halfspace_edges(h, L) for h in hs]
     assert list(_search(choices, n)) == recursive_searches._pieces(hs, n, L)
     for want in range(-1, n):
         assert _has_piece(choices, n, want) == recursive_searches._has_piece(choices, n, want)
@@ -569,15 +596,15 @@ def test_lazy_search_answers_like_the_recursions(system):
 
 def test_redundancy_test_stops_at_the_first_piece_outside(monkeypatch):
     # every irredundant halfspace of the L2 region has a piece of the others
-    # outside it; the lazy test closes fewer matrices, complements included,
-    # than listing every piece of the others alone
+    # outside it; the lazy test closes fewer matrices than listing every
+    # piece of the others
     L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
     kept = region(L2, 0).halfspaces
     calls = [0]
 
-    def counted(D, edges, weak):
+    def counted(D, edges):
         calls[0] += 1
-        return _close(D, edges, weak)
+        return _close(D, edges)
 
     monkeypatch.setattr(voronoi, "_close", counted)
     lazy = full = 0
@@ -588,7 +615,7 @@ def test_redundancy_test_stops_at_the_first_piece_outside(monkeypatch):
         lazy += calls[0]
         calls[0] = 0
         L = _scale([h, *rest])
-        list(_search([halfspace_edges(g, L)[0] for g in rest], 3))
+        list(_search([halfspace_edges(g, L) for g in rest], 3))
         full += calls[0]
     assert 0 < lazy < full
 
@@ -820,7 +847,7 @@ def rational_site_sets(draw, max_size: int = 6):
 @given(rational_site_sets())
 def test_integer_sites_answer_like_the_fraction_table(S):
     everyone = range(len(S))
-    neighbours, choices, complements = _site_table(S, everyone)
+    neighbours, choices = _site_table(S, everyone)
     halfspaces, old_choices, L = fraction_table._site_table(S, everyone)
     # the table's own lcm divides the site set's scale; every edge is the
     # same bound at the finer scale and every integer row is the same
@@ -834,9 +861,6 @@ def test_integer_sites_answer_like_the_fraction_table(S):
         assert neighbours[s] == signature_reduce(S, s) == fraction_table.signature_reduce(S, s)
         assert [halfspace_from_pair(S[s], S[t]) for t in neighbours[s]] == halfspaces[s]
         assert choices[s] == [[(rescaled(e), rows) for e, rows in ch] for ch in old_choices[s]]
-        assert complements[s] == [
-            [rescaled(e) for e in fraction_table._complements(h, L)] for h in halfspaces[s]
-        ]
         assert region(S, s) == fraction_table.region(S, s)
     for size in (1, 2, 3):
         for label in combinations(everyone, size):
@@ -868,5 +892,4 @@ def test_verify_lift_reports_like_the_fraction_table(S):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voronoi, "_site_table", fraction_table._site_table)
         mp.setattr(lift, "voronoi_diagram", fraction_table.voronoi_diagram)
-        mp.setattr(lift, "signature_reduce", fraction_table.signature_reduce)
         assert lift.verify_lift(S) == report
