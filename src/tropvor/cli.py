@@ -220,19 +220,22 @@ def _render(kind, S: Optional[SiteSet], width: int, height: int) -> str:
 # dispatch
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: they all take the same options, so
+    the subcommand is a positional choice and options may come before it."""
     parser = argparse.ArgumentParser(
         prog="tropvor",
         description="Exact asymmetric tropical Voronoi diagrams and their lifts.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("region", "bisector", "diagram", "delone", "hull", "verify-lift", "render"):
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True)
-        p.add_argument("--output")
-        p.add_argument("--radius", type=int)
-        p.add_argument("--cap", type=int)
-        p.add_argument("--width", type=int, default=400)
-        p.add_argument("--height", type=int, default=400)
+    parser.add_argument(
+        "subcommand",
+        choices=("region", "bisector", "diagram", "delone", "hull", "verify-lift", "render"),
+    )
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--output")
+    parser.add_argument("--radius", type=int)
+    parser.add_argument("--cap", type=int)
+    parser.add_argument("--width", type=int, default=400)
+    parser.add_argument("--height", type=int, default=400)
     return parser
 
 

@@ -222,39 +222,40 @@ def lattice_points(L: LatticeWindow):
     """All lattice combinations with every coordinate in [-B, B].
 
     Returns (SiteSet, WindowReport); the origin is site 0, the rest is sorted
-    by coordinates.
+    by coordinates.  The search runs on the basis times L.scale, as ints,
+    against the bound B * L.scale: a positive scaling keeps every comparison
+    and the coordinate order, so only the kept points become Fractions.
     """
-    B = Fraction(L.radius)
-    points = {tuple([Fraction(0)] * L.n)}
+    scale = L.scale
+    B = L.radius * scale
+    points = {(0,) * L.n}
     if L.basis:
         m = len(L.basis)
+        basis = [[c.numerator * (scale // c.denominator) for c in b] for b in L.basis]
         # coordinate j of the combination sum(k_i * b_i) as a function of k
-        M = [[L.basis[i][j] for i in range(m)] for j in range(L.n)]
+        M = [[basis[i][j] for i in range(m)] for j in range(L.n)]
         # on the first m independent rows A of M (they exist, the basis is
         # independent) k = A^-1 y with every |y_j| <= B, so the exact bound
         # is |k_i| <= sum_j |A^-1[i][j]| * B; column j of A^-1 solves A x = e_j
         A: list = []
         for row in M:
-            if lp_rank([clear_rat_row(r) for r in A + [row]], INT_RING) > len(A):
+            if lp_rank(A + [row], INT_RING) > len(A):
                 A.append(row)
                 if len(A) == m:
                     break
         bounds = [Fraction(0)] * m
         for j in range(m):
-            rows = [clear_rat_row(r + [int(i == j)]) for i, r in enumerate(A)]
-            nums, den = lp_cramer(rows, INT_RING)
+            nums, den = lp_cramer([r + [int(i == j)] for i, r in enumerate(A)], INT_RING)
             for i in range(m):
                 bounds[i] += abs(Fraction(nums[i], den)) * B
         ranges = [range(-int(b), int(b) + 1) for b in bounds]
         for ks in product(*ranges):
-            coords = tuple(
-                sum(ks[i] * L.basis[i][j] for i in range(m)) for j in range(L.n)
-            )
-            if all(abs(c) <= B for c in coords):
+            coords = tuple(sum(k * b[j] for k, b in zip(ks, basis)) for j in range(L.n))
+            if all(-B <= c <= B for c in coords):
                 points.add(coords)
-    origin = tuple([Fraction(0)] * L.n)
+    origin = (0,) * L.n
     ordered = [origin] + sorted(points - {origin})
-    S = SiteSet([HPoint(c) for c in ordered])
+    S = SiteSet([HPoint([Fraction(c, scale) for c in u]) for u in ordered])
 
     occupied = set()
     for c in ordered[1:]:

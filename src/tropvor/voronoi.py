@@ -14,6 +14,11 @@ in H is its number of zero-cycle classes minus one; it is bounded when
 every bound is finite; and it lies in a halfspace when, for each left term,
 the closure already bounds that term by one right term.  One lazy search
 lists the pieces, and a question stops it at the first piece that settles it.
+The search lists pieces in the lexicographic order of their choice indices,
+so the diagram grows each label's cell from the pieces of the label without
+its last site, searching only that site's choices: the pieces, their order
+and their closures are those of the search from all of H.  Many pieces
+share a closure, so dimensions and containment read each distinct one once.
 
 A polytrope is the tropical hull of its Kleene-star generators, the negated
 rows of its closed matrix.  A bounded region is the union of its pieces and
@@ -160,15 +165,29 @@ def _site_table(S: SiteSet, labels: Iterable[int]) -> tuple:
     return neighbours, choices
 
 
-def _search(choices: Sequence[list], n: int, keep: Optional[Callable] = None):
+def _search(
+    choices: Sequence[list],
+    n: int,
+    keep: Optional[Callable] = None,
+    seeds: Optional[Sequence[tuple]] = None,
+):
     """Nonempty pieces of these halfspace choices as (integer rows, closed
     matrix) pairs, depth first in choice order.  A prefix whose closure fails
     keep is dropped with every piece below it, which lies in that closure's
     polytrope: adding edges to a closed matrix never raises its dimension and
     never makes it unbounded.  Siblings are pushed in reverse, so pieces come
     out in the order of a recursive search.
+
+    The search starts from seeds, (rows, closed matrix) pairs taken in their
+    order; the default is the one seed ((), _free(n)), all of H.  Since the
+    pieces come out in the lexicographic order of their choice indices,
+    seeding with the pieces of some earlier choices, in their order, lists
+    the pieces of those choices followed by these ones, in the same order
+    and with the same closures as one search over both.
     """
-    stack = [(0, (), _free(n))]
+    if seeds is None:
+        seeds = [((), _free(n))]
+    stack = [(0, rows, D) for rows, D in reversed(seeds)]
     while stack:
         idx, rows, D = stack.pop()
         if keep is not None and not keep(D):
@@ -355,12 +374,27 @@ class DiagramCell:
     pieces: tuple
 
 
-def _cell(n: int, label, choices: dict) -> tuple:
+def _distinct(closures: Sequence[list]) -> list:
+    """Each distinct closed matrix once, in the order first seen.  Many
+    pieces of a cell share a closure: the A2 triple point's 4,096 pieces
+    have one."""
+    return list({tuple(map(tuple, D)): D for D in closures}.values())
+
+
+def _cell(n: int, label, choices: dict, parent: Optional[tuple] = None) -> tuple:
     """The cell of a sorted label, and the closed matrix of each piece, from
-    the edge choices of a site table."""
-    pieces = list(_search([c for s in label for c in choices[s]], n))
-    dim = max((_dim(D) for _, D in pieces), default=-1)
-    return DiagramCell(label, dim, tuple(rows for rows, _ in pieces)), [D for _, D in pieces]
+    the edge choices of a site table.  parent, when given, is what this
+    returned for label[:-1] on the same table: the cell then grows from the
+    parent's pieces by the choices of label[-1] alone, and has the same
+    pieces, in the same order, as the search from all of H."""
+    if parent is None:
+        found = _search([c for s in label for c in choices[s]], n)
+    else:
+        found = _search(choices[label[-1]], n, seeds=list(zip(parent[0].pieces, parent[1])))
+    pieces = list(found)
+    closures = [D for _, D in pieces]
+    dim = max((_dim(D) for D in _distinct(closures)), default=-1)
+    return DiagramCell(label, dim, tuple(rows for rows, _ in pieces)), closures
 
 
 def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
@@ -466,7 +500,8 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
 
     Labels are canonical: the label of a cell is the set of every site whose
     region contains it, which makes cell inclusion the reverse of label
-    inclusion.
+    inclusion.  The cell of a label of two or more sites grows from the
+    pieces of the label without its last site.
     """
     if len(S) > SITE_CAP:
         raise ValueError("instance too large")
@@ -475,13 +510,21 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
     _, choices = _site_table(S, range(len(S)))
     cells: dict = {}
     closures: dict = {}
+    distinct: dict = {}
 
     def probe(label) -> bool:
-        cells[label], closures[label] = _cell(n, label, choices)
+        # label_lattice probes a label only once every label one site smaller
+        # is nonempty, so label[:-1] has been probed
+        parent = (cells[label[:-1]], closures[label[:-1]]) if len(label) > 1 else None
+        cells[label], closures[label] = _cell(n, label, choices, parent)
         return cells[label].dim >= 0
 
     def contains(label, s: int) -> bool:
-        return all(_inside(D, h) for D in closures[label] for h in choices[s])
+        # only the distinct closures matter; in general position this is
+        # never asked, so they are kept only once asked for
+        if label not in distinct:
+            distinct[label] = _distinct(closures[label])
+        return all(_inside(D, h) for D in distinct[label] for h in choices[s])
 
     labels, order = label_lattice(len(S), gp, n, probe, contains)
     return VoronoiDiagram(tuple(replace(cells[label], label=key) for key, label in labels), order)

@@ -253,3 +253,20 @@ def test_render_bytes_match_the_cramer_search(S):
     new = cli._render("sites", S, 400, 400)
     with patch.object(cli, "_piece_generators", cramer_pieces._piece_generators):
         assert cli._render("sites", S, 400, 400) == new
+
+
+@pytest.mark.parametrize("argv", [[], ["triangulate", "--input", "in.json"], ["region"]])
+def test_usage_errors_exit_2(argv, capsys):
+    # no subcommand, an unknown one, or no --input: argparse exits with 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: tropvor" in capsys.readouterr().err
+
+
+def test_options_may_come_before_the_subcommand(tmp_path, capsys):
+    src = write(tmp_path, CYCLIC)
+    assert main(["delone", "--input", src]) == 0
+    after = capsys.readouterr().out
+    assert main(["--input", src, "delone"]) == 0
+    assert capsys.readouterr().out == after

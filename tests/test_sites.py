@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fraction_lattice
 from tropvor.sites import (
     LatticeWindow,
     SiteSet,
@@ -219,3 +220,40 @@ def test_signature_reduce_preserves_the_region(S):
                 for b in range(1, len(S))
             )
             assert full == kept == byd
+
+
+# ---------------------------------------------------------------------------
+# the integer window search against the Fraction one
+
+
+@st.composite
+def _lattice_windows(draw):
+    """A window of one or two independent basis vectors in n = 3 or 4, with
+    coordinate denominators 1 to 3 and a radius 1 to 4.  Three vectors in
+    n = 4 are left out: nearly dependent ones make the Fraction reference
+    enumerate millions of combinations."""
+    n = draw(st.integers(3, 4))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    heads = draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=1, max_size=2))
+    radius = draw(st.integers(1, 4))
+    try:
+        return LatticeWindow([H(*h, -sum(h)) for h in heads], radius)
+    except ValueError:
+        assume(False)
+
+
+L2_BASIS = [H(2, -2, 0), H(-1, 2, -1)]
+A2_BASIS = [H(1, -1, 0), H(0, 1, -1)]
+
+
+@given(_lattice_windows())
+@settings(max_examples=150, deadline=None)
+@example(LatticeWindow(L2_BASIS, 3))
+@example(LatticeWindow(A2_BASIS, 1))
+@example(LatticeWindow(A2_BASIS, 2))
+@example(LatticeWindow([H(Fraction(2, 3), Fraction(-1, 2), Fraction(-1, 6))], 2))  # scale 6
+def test_integer_window_search_matches_the_fraction_reference(window):
+    S, report = lattice_points(window)
+    old_S, old_report = fraction_lattice.lattice_points(window)
+    assert S.sites == old_S.sites
+    assert report == old_report

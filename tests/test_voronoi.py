@@ -7,9 +7,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cell_walk
 import fraction_dbm
 import fraction_table
 import packed_dbm
@@ -893,3 +894,86 @@ def test_verify_lift_reports_like_the_fraction_table(S):
         mp.setattr(voronoi, "_site_table", fraction_table._site_table)
         mp.setattr(lift, "voronoi_diagram", fraction_table.voronoi_diagram)
         assert lift.verify_lift(S) == report
+
+
+# ---------------------------------------------------------------------------
+# cells grown from their parent label's pieces
+
+
+def grown_cells_checked(S):
+    """voronoi_diagram(S) with every probe checked against the search from
+    all of H."""
+    real = voronoi._cell
+
+    def checked(n, label, choices, parent=None):
+        c, closures = real(n, label, choices, parent)
+        full, full_closures = real(n, label, choices)
+        # the same pieces in the same order, the same closures and dimension
+        assert c == full, label
+        assert closures == full_closures, label
+        assert (parent is not None) == (len(label) > 1), label
+        if parent is not None:
+            assert parent[0].label == label[:-1] and parent[0].dim >= 0
+        return c, closures
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voronoi, "_cell", checked)
+        return voronoi_diagram(S)
+
+
+@st.composite
+def tied_site_sets(draw):
+    """2 to 6 distinct sites in n = 3 or 4 with coordinates in a small range
+    of halves and thirds, so that sites often share a coordinate and the
+    diagram is often not in general position."""
+    n = draw(st.integers(3, 4))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    heads = draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=2, max_size=6, unique=True))
+    return SiteSet([H(*r, -sum(r)) for r in heads])
+
+
+A2R1, _ = lattice_points(LatticeWindow([H(1, -1, 0), H(0, 1, -1)], 1))
+# i (2, -2, 0) + j (-1, 2, -1) for the origin and its four neighbours (i, j)
+PLUS_BLOCK = sites((0, 0, 0), (2, -2, 0), (-2, 2, 0), (-1, 2, -1), (1, -2, 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(tied_site_sets())
+@example(A2R1)
+@example(PLUS_BLOCK)
+@example(sites((1, -1, 0), (0, 1, -1), (-1, 0, 1)))  # in general position
+def test_grown_cells_equal_the_search_from_all_of_h(S):
+    d = grown_cells_checked(S)
+    # containment read on distinct closures gives the walk over every copy
+    old = cell_walk.voronoi_diagram(S)
+    assert d.cells == old.cells
+    assert diagram_to_json(d) == diagram_to_json(old)
+
+
+def test_a2_diagram_closes_fewer_edges_than_per_label_cells(monkeypatch):
+    calls = [0]
+    real_tighten, real_cell = voronoi._tighten, voronoi._cell
+
+    def counted(*args):
+        calls[0] += 1
+        return real_tighten(*args)
+
+    probed = []
+
+    def recorded(n, label, choices, parent=None):
+        probed.append(label)
+        return real_cell(n, label, choices, parent)
+
+    monkeypatch.setattr(voronoi, "_tighten", counted)
+    monkeypatch.setattr(voronoi, "_cell", recorded)
+    voronoi_diagram(A2R1)
+    grown = calls[0]
+
+    monkeypatch.setattr(voronoi, "_cell", real_cell)
+    choices = _site_table(A2R1, range(len(A2R1)))[1]
+    calls[0] = 0
+    for label in probed:
+        _cell(A2R1.n, label, choices)
+    per_label = calls[0]
+    # 22,164 against 62,826 when this was written
+    assert 0 < grown < per_label
