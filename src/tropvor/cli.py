@@ -1,11 +1,11 @@
 """Command-line front end: site and lattice JSON in, JSON or SVG out.
 
 Subcommands dispatch to the compute modules one-to-one; `bisector` is sugar
-for `diagram` on a two-site input.  Exit codes: 0 success, 2 malformed input,
-3 violated precondition (genericity, caps, invalid basis, rendering outside
-n = 3).  Every geometric decision is made in exact arithmetic; floating point
-appears only when projecting onto the SVG canvas, with a fixed output
-precision so repeated runs produce identical bytes.
+for `diagram` on a two-site input.  Exit codes: 0 success, 2 malformed input
+or an unwritable output, 3 violated precondition (genericity, caps, invalid
+basis, rendering outside n = 3).  Every geometric decision is made in exact
+arithmetic; floating point appears only when projecting onto the SVG canvas,
+with a fixed output precision so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -189,11 +189,8 @@ def _render_pieces(canvas: _Canvas, pieces, dim: int, color: str, reach: float) 
                 canvas.add_polyline([_ray_end(verts[0], rays[0], reach), pv[0]], pv)
 
 
-def _render(kind, S: Optional[SiteSet], width: int, height: int) -> str:
+def _render(kind, S: SiteSet, width: int, height: int) -> str:
     canvas = _Canvas(width, height)
-    if kind == "empty":
-        return canvas.emit()
-    assert S is not None
     if S.n != 3:
         raise ValueError("rendering needs n = 3")
     site_pts = [_project(s) for s in S]
@@ -243,14 +240,13 @@ def _dispatch(args, kind, payload) -> str:
     if args.subcommand == "render":
         if args.width <= 0 or args.height <= 0:
             raise ValueError("width and height must be positive")
-        S = None if kind == "empty" else _site_set(kind, payload, args.radius)
-        if S is not None and args.cap is not None and len(S) > args.cap:
-            raise ValueError("size cap exceeded")
-        return _render(kind, S, args.width, args.height)
-
+        if kind == "empty":
+            return _Canvas(args.width, args.height).emit()
     S = _site_set(kind, payload, args.radius)
     if args.cap is not None and len(S) > args.cap:
         raise ValueError("size cap exceeded")
+    if args.subcommand == "render":
+        return _render(kind, S, args.width, args.height)
     if args.subcommand == "region":
         out = region_to_json(region(S, 0))
     elif args.subcommand == "bisector":
@@ -283,8 +279,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"tropvor: {exc}", file=sys.stderr)
         return 3
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"tropvor: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

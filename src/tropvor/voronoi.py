@@ -16,9 +16,10 @@ the closure already bounds that term by one right term.  One lazy search
 lists the pieces, and a question stops it at the first piece that settles it.
 The search lists pieces in the lexicographic order of their choice indices,
 so the diagram grows each label's cell from the pieces of the label without
-its last site, searching only that site's choices: the pieces, their order
-and their closures are those of the search from all of H.  Many pieces
-share a closure, so dimensions and containment read each distinct one once.
+its last site, all of H being the empty label's cell, searching only that
+site's choices: the pieces, their order and their closures are those of the
+search from all of H.  Many pieces share a closure, so each cell dedupes them
+once for its dimension and containment.
 
 A polytrope is the tropical hull of its Kleene-star generators, the negated
 rows of its closed matrix.  A bounded region is the union of its pieces and
@@ -381,20 +382,17 @@ def _distinct(closures: Sequence[list]) -> list:
     return list({tuple(map(tuple, D)): D for D in closures}.values())
 
 
-def _cell(n: int, label, choices: dict, parent: Optional[tuple] = None) -> tuple:
-    """The cell of a sorted label, and the closed matrix of each piece, from
-    the edge choices of a site table.  parent, when given, is what this
-    returned for label[:-1] on the same table: the cell then grows from the
-    parent's pieces by the choices of label[-1] alone, and has the same
-    pieces, in the same order, as the search from all of H."""
-    if parent is None:
-        found = _search([c for s in label for c in choices[s]], n)
-    else:
-        found = _search(choices[label[-1]], n, seeds=list(zip(parent[0].pieces, parent[1])))
-    pieces = list(found)
-    closures = [D for _, D in pieces]
-    dim = max((_dim(D) for D in _distinct(closures)), default=-1)
-    return DiagramCell(label, dim, tuple(rows for rows, _ in pieces)), closures
+def _cell(n: int, label, choices: Sequence[list], seeds: Sequence[tuple]) -> tuple:
+    """(cell, pieces, distinct closures) of a sorted label: the search of
+    these halfspace choices from seeds, (rows, closed matrix) pairs.  Seeded
+    with all of H, the empty label's one piece, the choices are those of
+    every site of the label; seeded with the pieces of label[:-1], they are
+    those of label[-1] alone, and the pieces, their order and their closures
+    are the same."""
+    pieces = list(_search(choices, n, seeds=seeds))
+    distinct = _distinct([D for _, D in pieces])
+    dim = max((_dim(D) for D in distinct), default=-1)
+    return DiagramCell(label, dim, tuple(rows for rows, _ in pieces)), pieces, distinct
 
 
 def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
@@ -402,7 +400,8 @@ def cell(S: SiteSet, T: Iterable[int]) -> DiagramCell:
     label = tuple(sorted(set(int(t) for t in T)))
     if not label or label[0] < 0 or label[-1] >= len(S):
         raise ValueError("label must be a nonempty subset of site indices")
-    return _cell(S.n, label, _site_table(S, label)[1])[0]
+    choices = _site_table(S, label)[1]
+    return _cell(S.n, label, [c for s in label for c in choices[s]], [((), _free(S.n))])[0]
 
 
 def sufficiently_generic(S: SiteSet):
@@ -500,8 +499,8 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
 
     Labels are canonical: the label of a cell is the set of every site whose
     region contains it, which makes cell inclusion the reverse of label
-    inclusion.  The cell of a label of two or more sites grows from the
-    pieces of the label without its last site.
+    inclusion.  Each label's cell grows from the pieces of the label without
+    its last site, all of H being the empty label's cell.
     """
     if len(S) > SITE_CAP:
         raise ValueError("instance too large")
@@ -509,21 +508,18 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
     gp, _ = check_general_position(S)
     _, choices = _site_table(S, range(len(S)))
     cells: dict = {}
-    closures: dict = {}
+    found: dict = {(): [((), _free(n))]}
     distinct: dict = {}
 
     def probe(label) -> bool:
         # label_lattice probes a label only once every label one site smaller
         # is nonempty, so label[:-1] has been probed
-        parent = (cells[label[:-1]], closures[label[:-1]]) if len(label) > 1 else None
-        cells[label], closures[label] = _cell(n, label, choices, parent)
+        cells[label], found[label], distinct[label] = _cell(
+            n, label, choices[label[-1]], found[label[:-1]]
+        )
         return cells[label].dim >= 0
 
     def contains(label, s: int) -> bool:
-        # only the distinct closures matter; in general position this is
-        # never asked, so they are kept only once asked for
-        if label not in distinct:
-            distinct[label] = _distinct(closures[label])
         return all(_inside(D, h) for D in distinct[label] for h in choices[s])
 
     labels, order = label_lattice(len(S), gp, n, probe, contains)

@@ -7,7 +7,9 @@ in general position it returned the probed cells as they were, by a second
 branch.  The lifted side wrapped each nonempty label in a placeholder cell,
 _Walked, and read the cleared row of each ordered pair of lifts through a
 lazy cache.  The tests compare both with the label walk: diagrams, their
-JSON and pieces, power posets, hull complexes and the ledger.
+JSON and pieces, power posets, hull complexes and the ledger.  Each cell was
+searched from all of H over the choices of every site of its label, as
+searched_cell does; the other references build their cells with it too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from tropvor._lp import INT_RING, PolyRing, ThresholdLedger, lp_affine_dim, lp_s
 from tropvor.exactnum import RatFun, clear_rat_row, clear_ratfun_row
 from tropvor.lift import OFVector, PowerCell, PowerDiagram
 from tropvor.sites import DIM_CAP, LIFT_CAP, SITE_CAP, SiteSet, check_general_position
-from tropvor.voronoi import DiagramCell, VoronoiDiagram, _cell, _inside, _site_table
+from tropvor.voronoi import DiagramCell, VoronoiDiagram, _cell, _free, _inside, _site_table
+
+
+def searched_cell(n: int, label, table: dict) -> tuple:
+    """(cell, closure of each piece) of a sorted label, searched from all of
+    H over the choices of every site of the label in a site table."""
+    c, pieces, _ = _cell(n, label, [ch for s in label for ch in table[s]], [((), _free(n))])
+    return c, [D for _, D in pieces]
 
 
 def label_lattice(count: int, gp: bool, n: int, probe: Callable, contains: Callable):
@@ -88,7 +97,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
     closures: dict = {}
 
     def probe(label) -> Optional[DiagramCell]:
-        c, closures[label] = _cell(n, label, choices)
+        c, closures[label] = searched_cell(n, label, choices)
         return c if c.dim >= 0 else None
 
     def contains(c: DiagramCell, s: int) -> bool:

@@ -19,13 +19,13 @@ from math import lcm
 from typing import Iterable, Sequence
 
 import packed_dbm
+from cell_walk import searched_cell
 from tropvor.sites import SITE_CAP, SiteSet, _nondominated_indices, check_general_position
 from tropvor.tropcore import TropicalHalfspace, halfspace_from_pair, tconv_membership
 from tropvor.voronoi import (
     VoronoiDiagram,
     VoronoiRegion,
     _bounded,
-    _cell,
     _decode,
     _difference_row,
     _search,
@@ -135,7 +135,7 @@ def voronoi_diagram(S: SiteSet) -> VoronoiDiagram:
     closures: dict = {}
 
     def probe(label) -> bool:
-        cells[label], found = _cell(n, label, choices)
+        cells[label], found = searched_cell(n, label, choices)
         closures[label] = [packed_dbm.packed(D) for D in found]
         return cells[label].dim >= 0
 

@@ -212,6 +212,14 @@ def test_stdout_when_no_output_path(tmp_path, capsys):
     assert data["facets"] == [[0, 1, 2]]
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    src = write(tmp_path, GENERIC_PAIR)
+    out = tmp_path / "missing" / "out.json"
+    assert main(["region", "--input", src, "--output", str(out)]) == 2
+    assert not out.parent.exists()
+    assert "tropvor: cannot write output:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # SVG pieces read off the closed matrix, against the pairwise Cramer search
 

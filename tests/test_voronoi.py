@@ -48,7 +48,6 @@ from tropvor.voronoi import (
     VoronoiRegion,
     _all_bounded,
     _bounded,
-    _cell,
     _close,
     _difference_row,
     _dim,
@@ -684,7 +683,7 @@ def probe_matches_the_cell(S, label) -> int:
     sorted label for every want from -1 to n - 1; returns that dimension."""
     table = _site_table(S, label)[1]
     choices = [c for s in label for c in table[s]]
-    dim = _cell(S.n, label, table)[0].dim
+    dim = cell_walk.searched_cell(S.n, label, table)[0].dim
     for want in range(-1, S.n):
         assert _has_piece(choices, S.n, want) == (dim >= want), (label, want, dim)
     return dim
@@ -865,7 +864,7 @@ def test_integer_sites_answer_like_the_fraction_table(S):
         assert region(S, s) == fraction_table.region(S, s)
     for size in (1, 2, 3):
         for label in combinations(everyone, size):
-            old = _cell(S.n, label, fraction_table._site_table(S, label)[1])[0]
+            old = cell_walk.searched_cell(S.n, label, fraction_table._site_table(S, label)[1])[0]
             assert cell(S, label) == old
     assert voronoi_diagram(S) == fraction_table.voronoi_diagram(S)
     new = dual_graph(S), delone_complex(S), sufficiently_generic(S)
@@ -902,19 +901,23 @@ def test_verify_lift_reports_like_the_fraction_table(S):
 
 def grown_cells_checked(S):
     """voronoi_diagram(S) with every probe checked against the search from
-    all of H."""
+    all of H over the choices of every site of its label."""
     real = voronoi._cell
+    table = _site_table(S, range(len(S)))[1]
+    root = [((), _free(S.n))]
 
-    def checked(n, label, choices, parent=None):
-        c, closures = real(n, label, choices, parent)
-        full, full_closures = real(n, label, choices)
-        # the same pieces in the same order, the same closures and dimension
-        assert c == full, label
-        assert closures == full_closures, label
-        assert (parent is not None) == (len(label) > 1), label
-        if parent is not None:
-            assert parent[0].label == label[:-1] and parent[0].dim >= 0
-        return c, closures
+    def searched(label):
+        return real(S.n, label, [c for s in label for c in table[s]], root)
+
+    def checked(n, label, choices, seeds):
+        got = real(n, label, choices, seeds)
+        # the same pieces in the same order, the same closures, distinct
+        # closures and dimension
+        assert got == searched(label), label
+        # grown by the last site's choices from the nonempty parent's pieces
+        assert choices == table[label[-1]], label
+        assert seeds and seeds == searched(label[:-1])[1], label
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voronoi, "_cell", checked)
@@ -960,9 +963,9 @@ def test_a2_diagram_closes_fewer_edges_than_per_label_cells(monkeypatch):
 
     probed = []
 
-    def recorded(n, label, choices, parent=None):
+    def recorded(n, label, choices, seeds):
         probed.append(label)
-        return real_cell(n, label, choices, parent)
+        return real_cell(n, label, choices, seeds)
 
     monkeypatch.setattr(voronoi, "_tighten", counted)
     monkeypatch.setattr(voronoi, "_cell", recorded)
@@ -973,7 +976,27 @@ def test_a2_diagram_closes_fewer_edges_than_per_label_cells(monkeypatch):
     choices = _site_table(A2R1, range(len(A2R1)))[1]
     calls[0] = 0
     for label in probed:
-        _cell(A2R1.n, label, choices)
+        cell_walk.searched_cell(A2R1.n, label, choices)
     per_label = calls[0]
     # 22,164 against 62,826 when this was written
     assert 0 < grown < per_label
+
+
+def test_a2_diagram_dedupes_each_cell_once(monkeypatch):
+    counts = {"_cell": 0, "_distinct": 0}
+
+    def counted(name):
+        real = getattr(voronoi, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(voronoi, name, wrapper)
+
+    counted("_cell")
+    counted("_distinct")
+    voronoi_diagram(A2R1)
+    # containment reads the distinct closures each probe already has: 81
+    # probes, against 141 dedupes when containment deduped again
+    assert counts["_cell"] == counts["_distinct"] == 81
