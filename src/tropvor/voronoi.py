@@ -13,7 +13,8 @@ everything.  A piece is empty when it has a negative cycle; its dimension
 in H is its number of zero-cycle classes minus one; it is bounded when
 every bound is finite; and it lies in a halfspace when, for each left term,
 the closure already bounds that term by one right term.  One lazy search
-lists the pieces, and a question stops it at the first piece that settles it.
+lists the pieces; a question stops it at the first piece that settles it and
+drops each prefix already settled, as adding bounds only shrinks a polytrope.
 The search lists pieces in the lexicographic order of their choice indices,
 so the diagram grows each label's cell from the pieces of the label without
 its last site, all of H being the empty label's cell, searching only that
@@ -175,9 +176,9 @@ def _search(
     """Nonempty pieces of these halfspace choices as (integer rows, closed
     matrix) pairs, depth first in choice order.  A prefix whose closure fails
     keep is dropped with every piece below it, which lies in that closure's
-    polytrope: adding edges to a closed matrix never raises its dimension and
-    never makes it unbounded.  Siblings are pushed in reverse, so pieces come
-    out in the order of a recursive search.
+    polytrope: adding edges never raises its dimension, never makes it
+    unbounded and never takes it out of a halfspace it lies in.  Siblings are
+    pushed in reverse, so pieces come out in the order of a recursive search.
 
     The search starts from seeds, (rows, closed matrix) pairs taken in their
     order; the default is the one seed ((), _free(n)), all of H.  Since the
@@ -231,8 +232,8 @@ def _inside(D: list, choices: list) -> bool:
 
 def _redundant(h: list, choices: Sequence[list], n: int) -> bool:
     """Does every piece of these halfspace choices lie in the halfspace with
-    the choices h?  The search stops at the first piece outside."""
-    return all(_inside(D, h) for _, D in _search(choices, n))
+    the choices h?  A prefix already inside h drops out with its pieces."""
+    return not any(_search(choices, n, lambda D: not _inside(D, h)))
 
 
 def halfspace_redundant(h: TropicalHalfspace, others: Sequence[TropicalHalfspace]) -> bool:
@@ -324,14 +325,13 @@ def region(S: SiteSet, s: int) -> VoronoiRegion:
     kept, kept_choices = neighbours[s], choices[s]
     i = 0
     while i < len(kept):
-        rest = kept_choices[:i] + kept_choices[i + 1 :]
-        if rest and _redundant(kept_choices[i], rest, S.n):
+        if _redundant(kept_choices[i], kept_choices[:i] + kept_choices[i + 1 :], S.n):
             del kept[i], kept_choices[i]
         else:
             i += 1
 
     closures = [D for _, D in _search(kept_choices, S.n)]
-    bounded = bool(kept) and all(_bounded(D) for D in closures)
+    bounded = all(_bounded(D) for D in closures)
     return VoronoiRegion(
         s,
         tuple(halfspace_from_pair(S[s], S[t]) for t in kept),
@@ -416,7 +416,7 @@ def sufficiently_generic(S: SiteSet):
     ]
     choices = _site_table(S, {s for pair in pairs for s in pair})[1]
     for i, j in pairs:
-        if _has_piece(choices[i] + choices[j], S.n, 0):
+        if any(_search(choices[i] + choices[j], S.n)):
             return False, (i, j, next(k for k in range(S.n) if S[i][k] == S[j][k]))
     return True, None
 

@@ -580,10 +580,36 @@ def test_weak_closure_decides_like_the_packed_kernel(system):
 # the lazy piece search against the recursions it replaced
 
 
+@st.composite
+def loosened_systems(draw):
+    """halfspace_lists systems whose probe is, half the time, a copy of a
+    drawn halfspace with every right coefficient d_j raised by some delta >=
+    0: a larger halfspace, so the others always lie inside it."""
+    n, hs, probe = draw(halfspace_lists())
+    loosened = bool(hs) and draw(st.booleans())
+    if loosened:
+        g = draw(st.sampled_from(hs))
+        delta = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
+        probe = TropicalHalfspace(g.I, g.c, g.J, [d + draw(delta) for d in g.d])
+    return n, hs, probe, loosened
+
+
+# x0 = x1 in n = 2 is one point of H, outside x0 + 1 <= x1: pruning prefixes
+# by dimension as well would miss it
+POINT_OUTSIDE = (
+    2,
+    [TropicalHalfspace([0], [Fraction(0)], [1], [Fraction(0)]),
+     TropicalHalfspace([1], [Fraction(0)], [0], [Fraction(0)])],
+    TropicalHalfspace([0], [Fraction(1)], [1], [Fraction(0)]),
+    False,
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(halfspace_lists())
+@given(loosened_systems())
+@example(POINT_OUTSIDE)
 def test_lazy_search_answers_like_the_recursions(system):
-    n, hs, probe = system
+    n, hs, probe, loosened = system
     L = _scale(hs + [probe])
     # the same rows and closed matrices, in the same order
     choices = [halfspace_edges(h, L) for h in hs]
@@ -591,7 +617,23 @@ def test_lazy_search_answers_like_the_recursions(system):
     for want in range(-1, n):
         assert _has_piece(choices, n, want) == recursive_searches._has_piece(choices, n, want)
     assert _all_bounded(choices, n) == recursive_searches._all_bounded(choices, n)
-    assert halfspace_redundant(probe, hs) == recursive_searches.halfspace_redundant(probe, hs)
+    redundant = halfspace_redundant(probe, hs)
+    assert redundant == recursive_searches.halfspace_redundant(probe, hs)
+    assert redundant or not loosened
+
+
+def test_reentrant_region_answers_like_listing_every_piece(monkeypatch):
+    # reentrant_calls.region asks the public, pruned halfspace_redundant;
+    # with the reference that lists every piece of the others in its place,
+    # it is independent of the pruning
+    monkeypatch.setattr(reentrant_calls, "halfspace_redundant", recursive_searches.halfspace_redundant)
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    windows = [L2, a2_window(2), A2R1] + seeded_windows()
+    for S in windows + [random_sites(seed, count) for seed in range(8) for count in (3, 5, 7)]:
+        for s in range(len(S)):
+            new, old = region(S, s), reentrant_calls.region(S, s)
+            assert new == old, (S, s)
+            assert region_to_json(new) == region_to_json(old)
 
 
 def test_redundancy_test_stops_at_the_first_piece_outside(monkeypatch):
@@ -618,6 +660,43 @@ def test_redundancy_test_stops_at_the_first_piece_outside(monkeypatch):
         list(_search([halfspace_edges(g, L) for g in rest], 3))
         full += calls[0]
     assert 0 < lazy < full
+
+
+def test_redundancy_test_drops_prefixes_inside_the_halfspace(monkeypatch):
+    # region(L2, 0)'s redundancy loop, replayed on its site table: deciding a
+    # dropped halfspace closes fewer matrices than listing every piece of
+    # the other kept halfspaces, since a prefix already inside the dropped
+    # one is not searched further (175 and 111 listing calls, 27 and 47 when
+    # this was written)
+    L2, _ = lattice_points(LatticeWindow([H(2, -2, 0), H(-1, 2, -1)], 3))
+    neighbours, choices = _site_table(L2, (0,))
+    kept, kept_choices = list(neighbours[0]), list(choices[0])
+    calls = [0]
+
+    def counted(D, edges):
+        calls[0] += 1
+        return _close(D, edges)
+
+    monkeypatch.setattr(voronoi, "_close", counted)
+    dropped = []
+    i = 0
+    while i < len(kept):
+        rest = kept_choices[:i] + kept_choices[i + 1 :]
+        calls[0] = 0
+        redundant = voronoi._redundant(kept_choices[i], rest, L2.n)
+        pruned = calls[0]
+        calls[0] = 0
+        listed = list(_search(rest, L2.n))
+        assert redundant == all(_inside(D, kept_choices[i]) for _, D in listed)
+        if redundant:
+            assert 0 < pruned < calls[0], (kept[i], pruned, calls[0])
+            dropped.append(kept[i])
+            del kept[i], kept_choices[i]
+        else:
+            i += 1
+    monkeypatch.undo()
+    assert dropped == [8, 13]
+    assert region(L2, 0).halfspaces == tuple(halfspace_from_pair(L2[0], L2[t]) for t in kept)
 
 
 def reference_generators(r: VoronoiRegion) -> tuple:
